@@ -356,23 +356,35 @@ func Fig7(c *Context) *Result {
 	pre := rep.Stats(noise.KeyPreemption)
 	fmt.Fprintf(&sb, "preemptions: %d events, avg %.1f µs, total %.2f ms\n",
 		pre.Summary.Count, pre.Summary.Mean()/1e3, pre.Summary.Sum/1e6)
-	culprits := rep.PreemptionsByCulprit()
-	type cp struct {
-		pid int64
-		ns  int64
-	}
-	var list []cp
-	for pid, ns := range culprits {
-		list = append(list, cp{pid, ns})
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].ns > list[j].ns })
-	for i, e := range list {
+	for i, e := range rankCulprits(rep.PreemptionsByCulprit()) {
 		if i >= 3 {
 			break
 		}
 		fmt.Fprintf(&sb, "  culprit pid %d: %.2f ms\n", e.pid, float64(e.ns)/1e6)
 	}
 	return &Result{ID: "fig7", Title: "Process preemption experienced by LAMMPS", Text: sb.String()}
+}
+
+// culprit is one preempting task and the preemption noise it caused.
+type culprit struct {
+	pid int64
+	ns  int64
+}
+
+// rankCulprits orders per-culprit preemption noise largest first, equal
+// noise by ascending pid, so the listing does not depend on map order.
+func rankCulprits(byPID map[int64]int64) []culprit {
+	list := make([]culprit, 0, len(byPID))
+	for pid, ns := range byPID {
+		list = append(list, culprit{pid, ns})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].ns != list[j].ns {
+			return list[i].ns > list[j].ns
+		}
+		return list[i].pid < list[j].pid
+	})
+	return list
 }
 
 // Table2 regenerates Table II: network interrupt statistics.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -280,5 +281,17 @@ func TestExt7SoftwareTLB(t *testing.T) {
 	// Efficiency ordering: CNK >= HugeTLB > 4K pages.
 	if !(cnk[2] >= huge[2] && huge[2] > k4[2]) {
 		t.Fatalf("efficiency ordering wrong: 4K %v huge %v cnk %v", k4[2], huge[2], cnk[2])
+	}
+}
+
+// Fig7's culprit listing: equal preemption noise orders by ascending
+// pid, independent of map iteration order.
+func TestRankCulpritsBreaksTiesByPID(t *testing.T) {
+	want := []culprit{{7, 900}, {9, 500}, {42, 500}}
+	for rep := 0; rep < 20; rep++ {
+		got := rankCulprits(map[int64]int64{42: 500, 7: 900, 9: 500})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %v, want %v", got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ package noise_test
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"testing"
 
 	"osnoise/internal/noise"
@@ -65,5 +66,28 @@ func BenchmarkAnalyzeRaw8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// topSink keeps BenchmarkTopInterruptions' result live.
+var topSink []noise.Interruption
+
+// BenchmarkTopInterruptions selects the ten largest of ~270k
+// interruptions, the size of a 12-second AMG trace's report; totals
+// come from a narrow range so ties are common, as in real traces.
+func BenchmarkTopInterruptions(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	r := &noise.Report{Interruptions: make([]noise.Interruption, 270_000)}
+	for i := range r.Interruptions {
+		r.Interruptions[i] = noise.Interruption{
+			CPU:   int32(i % 8),
+			Start: int64(i) * 1000,
+			Total: 2000 + rng.Int63n(5000),
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		topSink = r.TopInterruptions(10)
 	}
 }

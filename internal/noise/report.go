@@ -190,13 +190,62 @@ func (r *Report) InterruptionsOnCPU(cpu int32) []Interruption {
 	return out
 }
 
-// TopInterruptions returns the n largest interruptions by total noise.
+// TopInterruptions returns the n interruptions with the largest Total,
+// largest first. Equal totals keep their order in r.Interruptions, so
+// the result equals a stable sort by descending Total cut to n; n <= 0
+// yields an empty result. Selection keeps a heap of n indices: for N
+// interruptions it costs O(N log n) time and O(n) extra memory, and
+// r.Interruptions is neither copied nor reordered.
 func (r *Report) TopInterruptions(n int) []Interruption {
-	out := make([]Interruption, len(r.Interruptions))
-	copy(out, r.Interruptions)
-	sort.Slice(out, func(i, j int) bool { return out[i].Total > out[j].Total })
-	if len(out) > n {
-		out = out[:n]
+	all := r.Interruptions
+	n = min(n, len(all))
+	if n <= 0 {
+		return nil
+	}
+	// weaker reports whether all[a] ranks below all[b] in the result.
+	weaker := func(a, b int) bool {
+		if all[a].Total != all[b].Total {
+			return all[a].Total < all[b].Total
+		}
+		return a > b
+	}
+	// down restores the heap property below h[i]; h[0] is the weakest.
+	down := func(h []int, i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && weaker(h[c+1], h[c]) {
+				c++
+			}
+			if !weaker(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	h := make([]int, n)
+	for i := range h {
+		h[i] = i
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		down(h, i)
+	}
+	// Later indices lose ties, so only a strictly larger Total displaces
+	// the weakest of the current top n.
+	for i := n; i < len(all); i++ {
+		if all[i].Total > all[h[0]].Total {
+			h[0] = i
+			down(h, 0)
+		}
+	}
+	out := make([]Interruption, n)
+	for k := n - 1; k >= 0; k-- {
+		out[k] = all[h[0]]
+		h[0] = h[k]
+		down(h[:k], 0)
 	}
 	return out
 }

@@ -160,4 +160,10 @@ echo "== pipeline regression gate (1M events)"
 go run ./cmd/noisebench -pipeline -pipeline-events 1000000 -pipeline-reps 3 \
     -pipeline-gate results/BENCH_pipeline.json -pipeline-gate-pct 10
 
+echo "== repository benchmark smoke"
+# bench/ is a module of its own, so ./... above never reaches it. Its
+# tests run each workload at a tiny size and check the outputs, so a
+# workload broken by a program change fails here, not in a benchmark run.
+(cd bench && go test .)
+
 echo "CI OK"
