@@ -40,7 +40,6 @@ type PipelineBench struct {
 	CPUs       int             `json:"cpus"`
 	TraceBytes int             `json:"trace_bytes"`
 	GoMaxProcs int             `json:"gomaxprocs"`
-	Epochs     int             `json:"epochs,omitempty"` // replay epoch setting (0 = auto)
 	Reps       int             `json:"reps"`
 	Identical  bool            `json:"reports_identical"` // parallel Report == sequential Report
 	Sequential PipelinePhase   `json:"sequential"`
@@ -89,11 +88,9 @@ func timed(reps int, fn func()) (best time.Duration, alloc uint64) {
 // RunPipelineBench measures the offline analysis pipeline — decode from
 // trace bytes plus full noise analysis — sequentially and sharded at
 // each requested shard count, on a tiled workload trace of at least
-// targetEvents events. epochs sets the replay's epoch split (0 = auto,
-// 1 = sequential replay pass; see noise.Options.Epochs). Reports from
-// every configuration are checked for bit-identity with the sequential
-// baseline.
-func RunPipelineBench(targetEvents int, shardCounts []int, seed uint64, reps, epochs int) *PipelineBench {
+// targetEvents events. Reports from every configuration are checked for
+// bit-identity with the sequential baseline.
+func RunPipelineBench(targetEvents int, shardCounts []int, seed uint64, reps int) *PipelineBench {
 	if reps < 1 {
 		reps = 1
 	}
@@ -108,14 +105,12 @@ func RunPipelineBench(targetEvents int, shardCounts []int, seed uint64, reps, ep
 	}
 	raw := buf.Bytes()
 	opts := noise.DefaultOptions()
-	opts.Epochs = epochs
 
 	b := &PipelineBench{
 		Events:     len(tr.Events),
 		CPUs:       tr.CPUs,
 		TraceBytes: len(raw),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Epochs:     epochs,
 		Reps:       reps,
 		Identical:  true,
 	}
@@ -162,12 +157,8 @@ func RunPipelineBench(targetEvents int, shardCounts []int, seed uint64, reps, ep
 // Render formats the benchmark as the text table noisebench prints.
 func (b *PipelineBench) Render() string {
 	var sb strings.Builder
-	epochs := "auto"
-	if b.Epochs > 0 {
-		epochs = fmt.Sprint(b.Epochs)
-	}
-	fmt.Fprintf(&sb, "analysis pipeline: %d events, %d CPUs, %.1f MiB trace, GOMAXPROCS=%d, epochs=%s, best of %d\n",
-		b.Events, b.CPUs, float64(b.TraceBytes)/(1<<20), b.GoMaxProcs, epochs, b.Reps)
+	fmt.Fprintf(&sb, "analysis pipeline: %d events, %d CPUs, %.1f MiB trace, GOMAXPROCS=%d, best of %d\n",
+		b.Events, b.CPUs, float64(b.TraceBytes)/(1<<20), b.GoMaxProcs, b.Reps)
 	fmt.Fprintf(&sb, "  %-12s %10s %14s %12s %8s\n", "config", "wall", "events/sec", "alloc", "speedup")
 	fmt.Fprintf(&sb, "  %-12s %10s %14.0f %12d %8s\n", "sequential",
 		time.Duration(b.Sequential.WallNS), b.Sequential.EventsPerSec, b.Sequential.AllocBytes, "1.00x")

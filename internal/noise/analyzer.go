@@ -31,9 +31,10 @@ type Options struct {
 	KeepDurations bool
 
 	// FromNS/ToNS restrict the analysis to a time window (both zero =
-	// whole trace) — the zooming workflow of the paper's §III-C.
-	// Events outside the window are ignored; spans straddling the
-	// boundary are dropped like any other truncated span.
+	// whole trace; ToNS zero = to the end of the trace) — the zooming
+	// workflow of the paper's §III-C. Events outside the window are
+	// ignored; spans straddling the boundary are dropped like any other
+	// truncated span. Report.Seconds covers the window, not the trace.
 	FromNS, ToNS int64
 
 	// Budget bounds the resources the analysis may consume; the zero
@@ -41,14 +42,6 @@ type Options struct {
 	// prefix (the report is marked Incomplete), the interruption cap
 	// reservoir-samples the retained detail records. See Budget.
 	Budget Budget
-
-	// Epochs splits the parallel pipeline's replay phase into this many
-	// concurrently replayed time-epochs with stitched boundaries (see
-	// epoch.go). 1 forces the single sequential pass; 0 picks an epoch
-	// count automatically from the shard count and available cores. The
-	// report is bit-identical at every setting — epochs trade replay
-	// latency, never accuracy. Ignored by the sequential Analyze.
-	Epochs int
 }
 
 // DefaultOptions returns the analysis configuration used throughout the
@@ -84,6 +77,46 @@ type cpuState struct {
 	current int64 // pid currently running (0 = idle)
 }
 
+// appSet identifies the application processes (the noise victims).
+// nil treats every non-zero pid as an application.
+type appSet map[int64]bool
+
+// has reports whether pid is an application process.
+func (s appSet) has(pid int64) bool {
+	return pid != 0 && (s == nil || s[pid])
+}
+
+// newReport starts the report every entry point fills, and resolves the
+// application set its spans are classified against. first and last are
+// the timestamps of the first and last consumed events (zero when none
+// was consumed). Seconds spans them, or the analysis window when one is
+// set; a window with no end runs to the last consumed event. procs reads
+// the trace's process table; it is called only when opts.AppPIDs leaves
+// the application set to the trace.
+func newReport(cpus int, first, last int64, opts *Options, procs func() ([]trace.ProcInfo, error)) (*Report, appSet, error) {
+	r := &Report{CPUs: cpus, Seconds: float64(last-first) / 1e9}
+	switch {
+	case opts.ToNS > opts.FromNS:
+		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
+	case opts.ToNS == 0 && opts.FromNS > 0:
+		r.Seconds = float64(max(last-opts.FromNS, 0)) / 1e9
+	}
+	for k := Key(0); k < NumKeys; k++ {
+		r.PerKey[k] = &KeyStats{Key: k}
+	}
+	apps := appSet(opts.AppPIDs)
+	if apps == nil {
+		// The trace's embedded process table (LTTng metadata analogue)
+		// identifies the application processes for offline analysis.
+		table, err := procs()
+		if err != nil {
+			return nil, nil, err
+		}
+		apps = (&trace.Trace{Procs: table}).AppPIDs()
+	}
+	return r, apps, nil
+}
+
 // Analyze runs the full noise analysis over a collected trace. An
 // event/byte budget in opts truncates the analysis to the trace's
 // prefix (the report is then marked Incomplete and Seconds covers the
@@ -92,33 +125,11 @@ type cpuState struct {
 //noisevet:hotpath
 func Analyze(tr *trace.Trace, opts Options) *Report {
 	events, truncated := opts.Budget.truncate(tr.Events)
-	r := &Report{CPUs: tr.CPUs, Seconds: tr.DurationSeconds()}
-	if truncated {
-		r.Incomplete = true
-		r.Seconds = spanSeconds(events)
-	}
+	first, last := eventSpan(events)
+	// The process table is already in memory: reading it cannot fail.
+	r, apps, _ := newReport(tr.CPUs, first, last, &opts, func() ([]trace.ProcInfo, error) { return tr.Procs, nil })
+	r.Incomplete = truncated
 	r.EventsConsumed = uint64(len(events))
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
-	}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		// The trace's embedded process table (LTTng metadata analogue)
-		// identifies the application processes for offline analysis.
-		appPIDs = tr.AppPIDs()
-	}
-	isApp := func(pid int64) bool {
-		if pid == 0 {
-			return false
-		}
-		if appPIDs == nil {
-			return true
-		}
-		return appPIDs[pid]
-	}
 
 	cpus := make([]cpuState, tr.CPUs)
 	windows := make(map[int64]*window) // open preemption windows per pid
@@ -188,7 +199,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 
 		case ev.ID == trace.EvSchedSwitch:
 			prev, next, prevState := ev.Arg1, ev.Arg2, ev.Arg3
-			if prev != 0 && isApp(prev) {
+			if apps.has(prev) {
 				if prevState == trace.TaskStateRunning {
 					// Preempted while runnable: open a window.
 					windows[prev] = &window{start: ev.TS, cpu: ev.CPU}
@@ -203,7 +214,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 					}
 				}
 			}
-			if next != 0 && isApp(next) {
+			if apps.has(next) {
 				if w := windows[next]; w != nil {
 					preempt := (ev.TS - w.start) - w.kernelWall
 					if preempt > 0 {
@@ -234,7 +245,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 			if int(from) < len(cpus) && cpus[from].owner == pid {
 				cpus[from].owner = 0
 			}
-			if int(to) < len(cpus) && cpus[to].owner == 0 && isApp(pid) {
+			if int(to) < len(cpus) && cpus[to].owner == 0 && apps.has(pid) {
 				cpus[to].owner = pid
 			}
 
@@ -301,11 +312,10 @@ func (r *Report) noiseByCPU() ([][]Span, []int32) {
 // concatenates in CPU order, reproducing the sequential output exactly.
 //
 // The sort must be STABLE: two spans sharing both start and end (same-
-// timestamp boundaries, which epoch stitching makes common) keep their
-// record order, the contract the parallel path reproduces with an
-// explicit record-index tie-break (keyCmpTotal). An unstable sort here
-// would order tied components arbitrarily and the two paths could
-// diverge.
+// timestamp boundaries) keep their record order, the contract the
+// parallel path reproduces with an explicit record-index tie-break
+// (keyCmpTotal). An unstable sort here would order tied components
+// arbitrarily and the two paths could diverge.
 func interruptionsForCPU(cpu int32, spans []Span, gap int64) []Interruption {
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {

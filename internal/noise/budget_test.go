@@ -6,8 +6,6 @@ package noise_test
 // analysis paths.
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -21,45 +19,14 @@ import (
 // one.
 func runAllPaths(t *testing.T, tr *trace.Trace, opts noise.Options, shards int) *noise.Report {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	ctx := context.Background()
-
+	raw := encodeTrace(t, tr)
 	want := noise.Analyze(tr, opts)
-
-	par, err := noise.AnalyzeParallel(ctx, tr, opts, shards)
-	if err != nil {
-		t.Fatalf("AnalyzeParallel: %v", err)
-	}
-	compareReports(t, want, par)
-
-	d, err := trace.NewDecoder(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := noise.AnalyzeStream(ctx, d, opts, shards)
-	if err != nil {
-		t.Fatalf("AnalyzeStream: %v", err)
-	}
-	compareReports(t, want, str)
-
-	rr, err := noise.AnalyzeRaw(ctx, bytes.NewReader(raw), int64(len(raw)), opts, shards)
-	if err != nil {
-		t.Fatalf("AnalyzeRaw: %v", err)
-	}
-	compareReports(t, want, rr)
-
-	for name, got := range map[string]*noise.Report{"parallel": par, "stream": str, "raw": rr} {
-		if got.Incomplete != want.Incomplete ||
-			got.InterruptionsTotal != want.InterruptionsTotal ||
-			got.InterruptionsSampled != want.InterruptionsSampled {
-			t.Errorf("%s degradation flags diverge: %v/%d/%v vs %v/%d/%v", name,
-				got.Incomplete, got.InterruptionsTotal, got.InterruptionsSampled,
-				want.Incomplete, want.InterruptionsTotal, want.InterruptionsSampled)
+	for _, p := range shardedPaths {
+		got, err := p.run(tr, raw, opts, shards)
+		if err != nil {
+			t.Fatalf("path %q: %v", p.suffix, err)
 		}
+		compareReports(t, want, got)
 	}
 	return want
 }

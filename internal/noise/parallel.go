@@ -8,9 +8,8 @@
 // tracepoints with exact nested-time attribution — shards across CPUs
 // with no approximation. What does NOT shard is the scheduler state:
 // preemption windows follow a task when it migrates between CPUs, so
-// owner/window tracking is replayed over the scheduler events alone —
-// sequentially, or split into time-epochs stitched at their boundaries
-// (epoch.go).
+// owner/window tracking is replayed over the scheduler events alone, in
+// one sequential pass (replay.go).
 //
 // The pipeline runs in three phases:
 //
@@ -26,13 +25,12 @@
 //  3. replay: the control stream is walked, applying the
 //     scheduler/owner/preemption-window state machine and feeding every
 //     finished span through Report.record in exactly the order the
-//     sequential analyzer would have — in one pass, or epoch-split with
-//     boundary stitching (epoch.go) when opts.Epochs allows.
+//     sequential analyzer would have.
 //
 // Because phase 3 performs the same accumulator calls in the same order
 // as Analyze, the resulting Report is bit-identical to the sequential
 // one — including the order-sensitive floating-point summary fields.
-// TestParallelMatchesSequential and TestEpochsMatchSequential lock this
+// The equivalence tests in parallel_test.go and epoch_test.go lock this
 // invariant.
 //
 // The walkers also pre-count spans per key, so the replay appends into
@@ -848,7 +846,7 @@ func (r *Report) prealloc(walkers []cpuWalker, switches int, keep bool) {
 
 // ispanKey is one noise span's record in the per-CPU interruption
 // index: the sort-comparator fields plus everything the gap merge
-// consumes (own, key). The replay sink writes these as it emits noise
+// consumes (own, key). The replay writes these as it records noise
 // spans, so the whole interruption build — sort, count, fill — runs
 // over these compact contiguous records without ever loading the
 // multi-megabyte Report.Spans array again (a cache miss per span,
@@ -948,7 +946,7 @@ func sortKeysNearSorted(keys []ispanKey) bool {
 // stable sort. The near-sorted fast path is exact for distinct keys
 // (the sorted order is unique); when it detects ties it reports failure
 // and the total-order sort lands them by ascending record index — which
-// IS the stable order, because the replay sink wrote the keys in record
+// IS the stable order, because the replay wrote the keys in record
 // order. Sorting these compact records applies the exact permutation
 // sorting the spans themselves would.
 func sortInterruptionKeys(keys []ispanKey) {
@@ -1099,20 +1097,6 @@ func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]is
 	return ctx.Err()
 }
 
-// appMatcher builds the application-pid predicate from an explicit pid
-// set (nil = every non-zero pid is an application).
-func appMatcher(appPIDs map[int64]bool) func(int64) bool {
-	return func(pid int64) bool {
-		if pid == 0 {
-			return false
-		}
-		if appPIDs == nil {
-			return true
-		}
-		return appPIDs[pid]
-	}
-}
-
 // finish shares the tail of the parallel paths: boundary-drop
 // accounting, interruption grouping, and the interruption budget. A
 // non-nil error is the context's own (the caller wraps it).
@@ -1133,8 +1117,7 @@ func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[in
 // The report it produces is bit-identical to Analyze's on the same
 // trace and options — budgets included: per-CPU span reconstruction is
 // exact (nesting never crosses a CPU) and the final accumulation
-// replays in sequential order (epoch-split when opts.Epochs allows; see
-// epoch.go — the result is bit-identical either way).
+// replays in sequential order (replay.go).
 //
 // Cancelling ctx stops the run at the next batch boundary with no
 // leaked goroutines; the partial Report (marked Incomplete, with
@@ -1155,21 +1138,10 @@ func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards 
 		}
 		return Analyze(tr, opts), nil
 	}
-	r := &Report{CPUs: tr.CPUs, Seconds: tr.DurationSeconds()}
-	if truncated {
-		r.Incomplete = true
-		r.Seconds = spanSeconds(events)
-	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
-	}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		appPIDs = tr.AppPIDs()
-	}
+	first, last := eventSpan(events)
+	// The process table is already in memory: reading it cannot fail.
+	r, apps, _ := newReport(tr.CPUs, first, last, &opts, func() ([]trace.ProcInfo, error) { return tr.Procs, nil })
+	r.Incomplete = truncated
 
 	perCPU, ctl, dropped, err := partition(ctx, events, opts, tr.CPUs, shards, &prog)
 	if err != nil {
@@ -1181,7 +1153,7 @@ func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards 
 		return r.markCancelled(&prog), cancelErr(ctx)
 	}
 	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
+	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, apps)
 	if ctx.Err() != nil {
 		return r.markCancelled(&prog), cancelErr(ctx)
 	}
@@ -1233,35 +1205,25 @@ func AnalyzeRaw(ctx context.Context, ra io.ReaderAt, size int64, opts Options, s
 		}
 		return Analyze(tr, opts), nil
 	}
-	r := &Report{CPUs: rt.CPUs(), Incomplete: truncated}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-	// Trace.DurationSeconds spans the first to the last record; only two
-	// records need decoding to reproduce it. Under a budget the span
-	// covers the consumed prefix, like spanSeconds in the other paths.
+	// The consumed range needs only its two end records decoded; under a
+	// budget it is the consumed prefix, like eventSpan in the other paths.
+	var first, last int64
 	if count > 0 {
-		first, err := rt.Event(0)
+		ev, err := rt.Event(0)
 		if err != nil {
 			return nil, err
 		}
-		last, err := rt.Event(count - 1)
-		if err != nil {
+		first = ev.TS
+		if ev, err = rt.Event(count - 1); err != nil {
 			return nil, err
 		}
-		r.Seconds = float64(last.TS-first.TS) / 1e9
+		last = ev.TS
 	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
+	r, apps, err := newReport(rt.CPUs(), first, last, &opts, rt.Procs)
+	if err != nil {
+		return nil, err
 	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
-		procs, err := rt.Procs()
-		if err != nil {
-			return nil, err
-		}
-		appPIDs = (&trace.Trace{Procs: procs}).AppPIDs()
-	}
+	r.Incomplete = truncated
 
 	// Overlapped partition + walk: the walkers start first, blocked on
 	// the hand-off, and consume each chunk as the scan finishes it.
@@ -1289,7 +1251,7 @@ func AnalyzeRaw(ctx context.Context, ra io.ReaderAt, size int64, opts Options, s
 	}
 	r.Dropped += dropped
 	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
+	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, apps)
 	if ctx.Err() != nil {
 		return r.markCancelled(&prog), cancelErr(ctx)
 	}
@@ -1328,11 +1290,6 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 		shards = runtime.GOMAXPROCS(0)
 	}
 	ncpu := d.CPUs()
-	r := &Report{CPUs: ncpu}
-	for k := Key(0); k < NumKeys; k++ {
-		r.PerKey[k] = &KeyStats{Key: k}
-	}
-
 	workers := shards
 	if workers > ncpu {
 		workers = ncpu
@@ -1392,7 +1349,7 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 	for {
 		if ctx.Err() != nil {
 			join()
-			return r.markCancelled(&prog), cancelErr(ctx)
+			return (&Report{CPUs: ncpu}).markCancelled(&prog), cancelErr(ctx)
 		}
 		n, err := d.Next(batch)
 		evs := batch[:n]
@@ -1462,31 +1419,21 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 	if readErr != nil {
 		return nil, readErr
 	}
-	r.Incomplete = truncated
-
-	if any {
-		r.Seconds = float64(lastTS-firstTS) / 1e9
-	}
-	if opts.ToNS > opts.FromNS && (opts.FromNS != 0 || opts.ToNS != 0) {
-		r.Seconds = float64(opts.ToNS-opts.FromNS) / 1e9
-	}
-	appPIDs := opts.AppPIDs
-	if appPIDs == nil {
+	r, apps, err := newReport(ncpu, firstTS, lastTS, &opts, func() ([]trace.ProcInfo, error) {
 		// A budget cap leaves undecoded events ahead of the process
 		// table; skip them unparsed so classification still works.
 		if err := d.Skip(); err != nil {
 			return nil, err
 		}
-		procs, err := d.Procs()
-		if err != nil {
-			return nil, err
-		}
-		appPIDs = (&trace.Trace{Procs: procs}).AppPIDs()
+		return d.Procs()
+	})
+	if err != nil {
+		return nil, err
 	}
-
+	r.Incomplete = truncated
 	r.Dropped += dropped
 	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
-	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, appMatcher(appPIDs), shards)
+	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, apps)
 	if ctx.Err() != nil {
 		return r.markCancelled(&prog), cancelErr(ctx)
 	}

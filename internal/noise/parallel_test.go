@@ -33,6 +33,13 @@ func compareReports(t *testing.T, want, got *noise.Report) {
 	if want.EventsConsumed != got.EventsConsumed {
 		t.Errorf("events consumed: want %d, got %d", want.EventsConsumed, got.EventsConsumed)
 	}
+	if want.Incomplete != got.Incomplete ||
+		want.InterruptionsTotal != got.InterruptionsTotal ||
+		want.InterruptionsSampled != got.InterruptionsSampled {
+		t.Errorf("degradation flags: want %v/%d/%v, got %v/%d/%v",
+			want.Incomplete, want.InterruptionsTotal, want.InterruptionsSampled,
+			got.Incomplete, got.InterruptionsTotal, got.InterruptionsSampled)
+	}
 	if want.TotalNoiseNS != got.TotalNoiseNS {
 		t.Errorf("total noise: want %d, got %d", want.TotalNoiseNS, got.TotalNoiseNS)
 	}
@@ -128,15 +135,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestStreamMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 6} {
 		tr := simTrace(seed)
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
+		raw := encodeTrace(t, tr)
 		for name, opts := range optionVariants() {
 			want := noise.Analyze(tr, opts)
 			for _, shards := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("seed%d/%s/shards%d", seed, name, shards), func(t *testing.T) {
-					d, err := trace.NewDecoder(bytes.NewReader(buf.Bytes()))
+					d, err := trace.NewDecoder(bytes.NewReader(raw))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,11 +161,7 @@ func TestStreamMatchesSequential(t *testing.T) {
 func TestRawMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 6} {
 		tr := simTrace(seed)
-		var buf bytes.Buffer
-		if err := trace.Write(&buf, tr); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
+		raw := encodeTrace(t, tr)
 		for name, opts := range optionVariants() {
 			want := noise.Analyze(tr, opts)
 			for _, shards := range []int{1, 3, 8} {
@@ -177,54 +177,189 @@ func TestRawMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelHandmade exercises the tricky cross-CPU scheduler cases on
-// a hand-built trace: migration of a preempted task, out-of-range CPUs,
-// unmatched exits, and process exit closing a window.
-func TestParallelHandmade(t *testing.T) {
-	tr := handTrace(2,
-		appRunning(0, 0, 42),
-		trace.Event{TS: 100, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
-		trace.Event{TS: 300, CPU: 1, ID: trace.EvIRQEntry, Arg1: trace.IRQNet},
-		// Preempt 42 on cpu 0 while runnable.
-		trace.Event{TS: 400, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 42, Arg2: 7, Arg3: trace.TaskStateRunning},
-		trace.Event{TS: 500, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
-		// Migrate the preempted task to cpu 1.
-		trace.Event{TS: 600, CPU: 0, ID: trace.EvSchedMigrate, Arg1: 42, Arg2: 0, Arg3: 1},
-		trace.Event{TS: 700, CPU: 1, ID: trace.EvIRQExit, Arg1: trace.IRQNet},
-		// Unmatched exit on cpu 1 (span began before tracing).
-		trace.Event{TS: 750, CPU: 1, ID: trace.EvTaskletExit, Arg1: trace.SoftIRQTimer},
-		// Out-of-range CPU event must be dropped identically.
-		trace.Event{TS: 760, CPU: 9, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
-		// Resume 42 on cpu 1, closing the migrated window there.
-		trace.Event{TS: 900, CPU: 1, ID: trace.EvSchedSwitch, Arg1: 0, Arg2: 42, Arg3: trace.TaskStateBlocked},
-		// A second app task exits while preempted.
-		trace.Event{TS: 950, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 7, Arg2: 8, Arg3: trace.TaskStateRunning},
-		trace.Event{TS: 980, CPU: 0, ID: trace.EvProcessExit, Arg1: 7},
-		// Leftover open span at the boundary.
-		trace.Event{TS: 990, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
-	)
+// encodeTrace returns tr in the binary trace format.
+func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := trace.Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	for name, opts := range optionVariants() {
-		want := noise.Analyze(tr, opts)
-		for _, shards := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/shards%d", name, shards), func(t *testing.T) {
-				got, err := noise.AnalyzeParallel(context.Background(), tr, opts, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareReports(t, want, got)
-			})
-			t.Run(fmt.Sprintf("%s/shards%d/raw", name, shards), func(t *testing.T) {
-				got, err := noise.AnalyzeRaw(context.Background(), bytes.NewReader(raw), int64(len(raw)), opts, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compareReports(t, want, got)
-			})
+	return buf.Bytes()
+}
+
+// shardedPaths are the sharded entry points, each run on a trace or its
+// encoding.
+var shardedPaths = []struct {
+	suffix string // names the path in subtest names; "" is AnalyzeParallel
+	run    func(tr *trace.Trace, raw []byte, opts noise.Options, shards int) (*noise.Report, error)
+}{
+	{"", func(tr *trace.Trace, _ []byte, opts noise.Options, shards int) (*noise.Report, error) {
+		return noise.AnalyzeParallel(context.Background(), tr, opts, shards)
+	}},
+	{"/raw", func(_ *trace.Trace, raw []byte, opts noise.Options, shards int) (*noise.Report, error) {
+		return noise.AnalyzeRaw(context.Background(), bytes.NewReader(raw), int64(len(raw)), opts, shards)
+	}},
+	{"/stream", func(_ *trace.Trace, raw []byte, opts noise.Options, shards int) (*noise.Report, error) {
+		d, err := trace.NewDecoder(bytes.NewReader(raw))
+		if err != nil {
+			return nil, err
 		}
+		return noise.AnalyzeStream(context.Background(), d, opts, shards)
+	}},
+}
+
+// namedTrace is one row of the hand-built trace table.
+type namedTrace struct {
+	name string
+	tr   *trace.Trace
+}
+
+// handTraces are hand-built scheduler and span edge cases that seeded
+// workloads produce rarely or never.
+func handTraces() []namedTrace {
+	// noApps is a long run of bare kernel spans with no application
+	// events: every CPU stays ownerless, so under the runnable filter
+	// none of it is noise, and with the filter off all of it is.
+	var noApps []trace.Event
+	for i := 0; i < 40; i++ {
+		ts, cpu := int64(100+100*i), int32(i%2)
+		noApps = append(noApps,
+			trace.Event{TS: ts, CPU: cpu, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: ts + 20, CPU: cpu, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+		)
+	}
+	// ties are spans sharing identical start and end timestamps, four
+	// bursts to a timestamp, so the interruption sort cannot order them
+	// by key and must fall back to the record-order tie-break.
+	ties := []trace.Event{appRunning(0, 0, 42), appRunning(0, 1, 43)}
+	for i := 0; i < 12; i++ {
+		ts, cpu := int64(100+50*(i/4)), int32(i%2)
+		ties = append(ties,
+			trace.Event{TS: ts, CPU: cpu, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: ts, CPU: cpu, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+		)
+	}
+	return []namedTrace{
+		// Migration of a preempted task, out-of-range CPUs, unmatched
+		// exits, a process exit closing a window, and a span left open at
+		// the trace boundary.
+		{"migration", handTrace(2,
+			appRunning(0, 0, 42),
+			trace.Event{TS: 100, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: 300, CPU: 1, ID: trace.EvIRQEntry, Arg1: trace.IRQNet},
+			// Preempt 42 on cpu 0 while runnable.
+			trace.Event{TS: 400, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 42, Arg2: 7, Arg3: trace.TaskStateRunning},
+			trace.Event{TS: 500, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+			// Migrate the preempted task to cpu 1.
+			trace.Event{TS: 600, CPU: 0, ID: trace.EvSchedMigrate, Arg1: 42, Arg2: 0, Arg3: 1},
+			trace.Event{TS: 700, CPU: 1, ID: trace.EvIRQExit, Arg1: trace.IRQNet},
+			// Unmatched exit on cpu 1 (span began before tracing).
+			trace.Event{TS: 750, CPU: 1, ID: trace.EvTaskletExit, Arg1: trace.SoftIRQTimer},
+			// Out-of-range CPU event must be dropped identically.
+			trace.Event{TS: 760, CPU: 9, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			// Resume 42 on cpu 1, closing the migrated window there.
+			trace.Event{TS: 900, CPU: 1, ID: trace.EvSchedSwitch, Arg1: 0, Arg2: 42, Arg3: trace.TaskStateBlocked},
+			// A second app task exits while preempted.
+			trace.Event{TS: 950, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 7, Arg2: 8, Arg3: trace.TaskStateRunning},
+			trace.Event{TS: 980, CPU: 0, ID: trace.EvProcessExit, Arg1: 7},
+			// Leftover open span at the boundary.
+			trace.Event{TS: 990, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+		)},
+		// Nested interruptions on cpu 1 while a preemption window stays
+		// open on cpu 0; kernel work inside the window is charged to its
+		// own key and subtracted from the wait the resume closes.
+		{"nestedUnderWindow", handTrace(2,
+			appRunning(0, 0, 42),
+			appRunning(0, 1, 43),
+			trace.Event{TS: 50, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 42, Arg2: 7, Arg3: trace.TaskStateRunning},
+			// Trap inside softirq inside IRQ.
+			trace.Event{TS: 100, CPU: 1, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: 110, CPU: 1, ID: trace.EvSoftIRQEntry, Arg1: trace.SoftIRQTimer},
+			trace.Event{TS: 120, CPU: 1, ID: trace.EvTrapEntry, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 130, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 140, CPU: 1, ID: trace.EvTrapEntry, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 150, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 160, CPU: 1, ID: trace.EvSoftIRQExit, Arg1: trace.SoftIRQTimer},
+			trace.Event{TS: 170, CPU: 1, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+			trace.Event{TS: 200, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQNet},
+			trace.Event{TS: 230, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQNet},
+			trace.Event{TS: 300, CPU: 1, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: 310, CPU: 1, ID: trace.EvTrapEntry, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 320, CPU: 1, ID: trace.EvTrapExit, Arg1: trace.TrapPageFault},
+			trace.Event{TS: 330, CPU: 1, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+			trace.Event{TS: 400, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 7, Arg2: 42, Arg3: trace.TaskStateBlocked},
+			trace.Event{TS: 450, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+			trace.Event{TS: 470, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+		)},
+		{"noApps", handTrace(2, noApps...)},
+		{"ties", handTrace(2, ties...)},
+	}
+}
+
+// TestParallelHandmade runs every hand-built trace through every sharded
+// entry point at 1, 2 and 8 shards, for every option variant, and
+// compares each report against Analyze's.
+func TestParallelHandmade(t *testing.T) {
+	traces := handTraces()
+	for name, opts := range optionVariants() {
+		for _, shards := range []int{1, 2, 8} {
+			for _, p := range shardedPaths {
+				t.Run(fmt.Sprintf("%s/shards%d%s", name, shards, p.suffix), func(t *testing.T) {
+					for _, h := range traces {
+						t.Run(h.name, func(t *testing.T) {
+							got, err := p.run(h.tr, encodeTrace(t, h.tr), opts, shards)
+							if err != nil {
+								t.Fatal(err)
+							}
+							compareReports(t, noise.Analyze(h.tr, opts), got)
+						})
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStartOnlyWindowSeconds pins Seconds for a window with a start and
+// no end (ToNS = 0, "to the end of the trace"): it runs from FromNS to
+// the last consumed event, floored at zero, on every entry point.
+func TestStartOnlyWindowSeconds(t *testing.T) {
+	tr := handTrace(1,
+		appRunning(0, 0, 42),
+		trace.Event{TS: 1000, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+		trace.Event{TS: 2000, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+		trace.Event{TS: 50_000, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+		trace.Event{TS: 52_000, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+		trace.Event{TS: 90_000, CPU: 0, ID: trace.EvIRQEntry, Arg1: trace.IRQTimer},
+		trace.Event{TS: 100_000, CPU: 0, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
+	)
+	raw := encodeTrace(t, tr)
+	for _, c := range []struct {
+		name      string
+		from      int64
+		maxEvents uint64
+		want      float64
+	}{
+		{"toLastEvent", 40_000, 0, 60e-6},
+		{"toLastConsumed", 40_000, 5, 12e-6}, // the budget stops at TS 52000
+		{"pastLastEvent", 200_000, 0, 0},
+	} {
+		opts := noise.DefaultOptions()
+		opts.FromNS = c.from
+		opts.Budget.MaxEvents = c.maxEvents
+		t.Run(c.name, func(t *testing.T) {
+			if got := noise.Analyze(tr, opts).Seconds; got != c.want {
+				t.Errorf("Analyze: seconds %v, want %v", got, c.want)
+			}
+			for _, p := range shardedPaths {
+				r, err := p.run(tr, raw, opts, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Seconds != c.want {
+					t.Errorf("path %q: seconds %v, want %v", p.suffix, r.Seconds, c.want)
+				}
+			}
+		})
 	}
 }

@@ -91,14 +91,14 @@ func (b Budget) truncate(events []trace.Event) ([]trace.Event, bool) {
 	return events, false
 }
 
-// spanSeconds returns the time span of an event slice in seconds — the
-// Seconds a budget-truncated analysis reports, mirroring
-// Trace.DurationSeconds over the consumed prefix.
-func spanSeconds(events []trace.Event) float64 {
+// eventSpan returns the timestamps of the first and last events (zero
+// for none) — the consumed range a report's Seconds is derived from,
+// mirroring Trace.Span over a budget-truncated prefix.
+func eventSpan(events []trace.Event) (first, last int64) {
 	if len(events) == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(events[len(events)-1].TS-events[0].TS) / 1e9
+	return events[0].TS, events[len(events)-1].TS
 }
 
 // reservoirSeed fixes the interruption-sampling RNG stream so a

@@ -321,9 +321,7 @@ func (d *Decoder) Procs() ([]ProcInfo, error) {
 }
 
 // DecodeEvent unpacks one wire record from the head of b, which must
-// hold at least EventSize bytes. Together with RawTrace.Scan and the
-// Peek accessors it lets an analyzer decode records lazily, skipping
-// the fields — or whole records — it does not need.
+// hold at least EventSize bytes.
 //
 //noisevet:hotpath
 func DecodeEvent(b []byte) Event {
@@ -378,26 +376,11 @@ func DecodeBatch(b []byte, dst []Event) int {
 	return n
 }
 
-// PeekTS reads just the timestamp of the wire record at the head of b.
-//
-//noisevet:hotpath
-func PeekTS(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b[0:8])) }
-
-// PeekCPU reads just the CPU of the wire record at the head of b.
-//
-//noisevet:hotpath
-func PeekCPU(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b[8:12])) }
-
-// PeekID reads just the event ID of the wire record at the head of b.
-//
-//noisevet:hotpath
-func PeekID(b []byte) ID { return ID(binary.LittleEndian.Uint16(b[12:14])) }
-
 // RawTrace is random access to a fixed-format trace without decoding
 // it: the validated header plus the byte layout of the event section.
 // It exists for analyzers that want to scan the raw records themselves
-// — deciding per record, via the Peek accessors, whether a full
-// DecodeEvent is worth it — instead of materialising a []Event first.
+// (RawTrace.Scan with DecodeBatch) instead of materialising a []Event
+// first.
 type RawTrace struct {
 	ra      io.ReaderAt
 	size    int64

@@ -26,14 +26,15 @@ echo "== noisevet timing budget"
 # 14-analyzer run over ./... (load + type-check + analyses) has to
 # finish inside the budget. -timing prints the per-analyzer split to
 # stderr so a regression is attributable from the CI log alone, and
-# -benchjson appends the dated per-analyzer entry to the suite's
-# timing history (extend-only; the file is a JSON array of runs). The
-# binary is prebuilt so compile time is not billed to the suite.
+# -benchjson writes the dated per-analyzer entry to a scratch file: the
+# timing history in results/BENCH_noisevet.json grows only by a
+# deliberate run, never by CI. The binary is prebuilt so compile time
+# is not billed to the suite.
 vetdir="$(mktemp -d)"
 go build -o "$vetdir/noisevet" ./cmd/noisevet
 budget_ms=30000
 start_ns="$(date +%s%N)"
-"$vetdir/noisevet" -timing -benchjson results/BENCH_noisevet.json ./...
+"$vetdir/noisevet" -timing -benchjson "$vetdir/BENCH_noisevet.json" ./...
 elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 rm -rf "$vetdir"
 echo "noisevet suite: ${elapsed_ms} ms (budget ${budget_ms} ms)"
@@ -142,12 +143,12 @@ rm -rf "$smokedir"
 
 echo "== pipeline benchmark smoke"
 # A small-trace run of the analysis-pipeline benchmark: exercises the
-# sequential baseline, the sharded raw path at each shard count, the
-# epoch-split replay, and the bit-identity check (the run aborts if any
-# report diverges). The JSON lands in a scratch file — committed
-# baselines in results/ are regenerated deliberately, not by CI.
+# sequential baseline, the sharded raw path at each shard count, and
+# the bit-identity check (the run aborts if any report diverges). The
+# JSON lands in a scratch file — committed baselines in results/ are
+# regenerated deliberately, not by CI.
 go run ./cmd/noisebench -pipeline -pipeline-events 100000 -pipeline-reps 1 \
-    -pipeline-epochs 4 -json "$(mktemp -d)/BENCH_pipeline.json"
+    -json "$(mktemp -d)/BENCH_pipeline.json"
 
 echo "== pipeline regression gate (1M events)"
 # Full-size run gated against the recorded performance trajectory: the
