@@ -4,9 +4,11 @@
 // The paper's measurement methodology only works because the observer
 // does not perturb the system under test; in this repository that
 // translates to a hard rule on the code that runs once per trace event
-// (ROADMAP item 3 targets 100 M events/sec — at that rate a single
-// heap allocation per event is the difference between streaming and
-// thrashing). The rule cannot be checked one function at a time: an
+// (the analysis paths run at millions of events per second; at such
+// rates one heap allocation per event costs about as much as the
+// event's own work, and feeds the garbage collector in proportion to
+// the trace). The
+// rule cannot be checked one function at a time: an
 // innocent fmt.Errorf three calls below partitionRaw is exactly as
 // expensive as one in the loop itself.
 //

@@ -142,6 +142,43 @@ func TestNativeErrorResync(t *testing.T) {
 	}
 }
 
+// TestNativeOutOfRangeMigrate: a decodable trace whose sched_migrate
+// names a CPU the trace does not have is analysed like any other and
+// answered OK, and the next trace on the same connection is answered
+// too. Such a record once panicked every analysis path, and with it the
+// whole daemon.
+func TestNativeOutOfRangeMigrate(t *testing.T) {
+	rt := newRouter()
+	defer func() { _ = rt.Close(context.Background()) }()
+	c, shutdown := dialNative(t, rt)
+	defer shutdown()
+
+	if _, err := c.Write(daemontest.Greeting("acme")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	// App 42 is preempted on cpu 0, migrated to cpu 100 of a 2-CPU
+	// trace, then switched in on cpu 1.
+	bad := &trace.Trace{CPUs: 2, Procs: []trace.ProcInfo{{PID: 42, Name: "app", Kind: trace.ProcApp}}, Events: []trace.Event{
+		{TS: 0, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 0, Arg2: 42, Arg3: trace.TaskStateBlocked},
+		{TS: 100, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 42, Arg2: 7, Arg3: trace.TaskStateRunning},
+		{TS: 200, CPU: 0, ID: trace.EvSchedMigrate, Arg1: 42, Arg2: 0, Arg3: 100},
+		{TS: 300, CPU: 1, ID: trace.EvSchedSwitch, Arg1: 0, Arg2: 42, Arg3: trace.TaskStateBlocked},
+	}}
+	for i, tr := range []*trace.Trace{bad, daemontest.Trace(2)} {
+		if _, err := c.Write(daemontest.Frames(daemontest.Encode(tr), 4096)); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("trace %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("OK events=%d ", len(tr.Events)); !strings.HasPrefix(line, want) {
+			t.Fatalf("trace %d answer %q, want prefix %q", i, line, want)
+		}
+	}
+}
+
 // TestNativeProtocolErrors: a bad greeting and an oversized frame both
 // end the connection with an ERR proto answer.
 func TestNativeProtocolErrors(t *testing.T) {

@@ -70,6 +70,15 @@ type window struct {
 	kernelWall int64
 }
 
+// cpuArg reports whether a sched_migrate CPU argument names one of the
+// trace's ncpu CPUs. Only such an argument counts: an out-of-range
+// source clears no owner, and an out-of-range destination sets no owner
+// and leaves the task's preemption window where it is. Every engine
+// applies this one rule.
+func cpuArg(cpu int64, ncpu int) bool {
+	return cpu >= 0 && cpu < int64(ncpu)
+}
+
 // cpuState is the per-CPU walking state.
 type cpuState struct {
 	stack   []openSpan
@@ -239,14 +248,16 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 
 		case ev.ID == trace.EvSchedMigrate:
 			pid, from, to := ev.Arg1, ev.Arg2, ev.Arg3
-			if w := windows[pid]; w != nil {
-				w.cpu = int32(to)
-			}
-			if int(from) < len(cpus) && cpus[from].owner == pid {
+			if cpuArg(from, len(cpus)) && cpus[from].owner == pid {
 				cpus[from].owner = 0
 			}
-			if int(to) < len(cpus) && cpus[to].owner == 0 && apps.has(pid) {
-				cpus[to].owner = pid
+			if cpuArg(to, len(cpus)) {
+				if w := windows[pid]; w != nil {
+					w.cpu = int32(to)
+				}
+				if cpus[to].owner == 0 && apps.has(pid) {
+					cpus[to].owner = pid
+				}
 			}
 
 		case ev.ID == trace.EvProcessExit:

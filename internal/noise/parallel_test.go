@@ -239,7 +239,21 @@ func handTraces() []namedTrace {
 			trace.Event{TS: ts, CPU: cpu, ID: trace.EvIRQExit, Arg1: trace.IRQTimer},
 		)
 	}
+	// badMigrate preempts app 42 on cpu 0, migrates it with the given
+	// CPU arguments, and switches it in on cpu 1. A CPU argument outside
+	// [0, 2) must neither index the per-CPU state nor move the window.
+	badMigrate := func(from, to int64) *trace.Trace {
+		return handTrace(2,
+			appRunning(0, 0, 42),
+			trace.Event{TS: 100, CPU: 0, ID: trace.EvSchedSwitch, Arg1: 42, Arg2: 7, Arg3: trace.TaskStateRunning},
+			trace.Event{TS: 200, CPU: 0, ID: trace.EvSchedMigrate, Arg1: 42, Arg2: from, Arg3: to},
+			trace.Event{TS: 300, CPU: 1, ID: trace.EvSchedSwitch, Arg1: 0, Arg2: 42, Arg3: trace.TaskStateBlocked},
+		)
+	}
 	return []namedTrace{
+		{"migrateFromNegative", badMigrate(-1, 1)},
+		{"migrateToNegative", badMigrate(0, -1)},
+		{"migrateToBeyond", badMigrate(0, 100)},
 		// Migration of a preempted task, out-of-range CPUs, unmatched
 		// exits, a process exit closing a window, and a span left open at
 		// the trace boundary.
@@ -317,6 +331,28 @@ func TestParallelHandmade(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestMigrateCPUArgRule pins the rule every engine applies to a
+// sched_migrate CPU argument outside [0, CPUs): the preemption window
+// moves only onto a CPU the trace has, so the wait closed on cpu 1 is
+// charged to the CPU the window stands on.
+func TestMigrateCPUArgRule(t *testing.T) {
+	want := map[string]int32{"migrateFromNegative": 1, "migrateToNegative": 0, "migrateToBeyond": 0}
+	for _, h := range handTraces() {
+		cpu, ok := want[h.name]
+		if !ok {
+			continue
+		}
+		rep := noise.Analyze(h.tr, noise.DefaultOptions())
+		if len(rep.Spans) != 1 || rep.Spans[0].Key != noise.KeyPreemption || rep.Spans[0].CPU != cpu || rep.Spans[0].Wall != 200 {
+			t.Errorf("%s: spans %+v, want one 200 ns preemption on cpu %d", h.name, rep.Spans, cpu)
+		}
+		delete(want, h.name)
+	}
+	if len(want) != 0 {
+		t.Fatalf("hand traces missing: %v", want)
 	}
 }
 

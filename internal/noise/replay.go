@@ -146,14 +146,16 @@ func (r *Report) replay(ctx context.Context, ctl ctlStream, walkers []cpuWalker,
 
 		case ctlMigrate:
 			pid, from, to := sr.a1, sr.a2, sr.a3
-			if w := windows[pid]; w != nil {
-				w.cpu = int32(to)
-			}
-			if int(from) < ncpu && cpus[from].owner == pid {
+			if cpuArg(from, ncpu) && cpus[from].owner == pid {
 				cpus[from].owner = 0
 			}
-			if int(to) < ncpu && cpus[to].owner == 0 && apps.has(pid) {
-				cpus[to].owner = pid
+			if cpuArg(to, ncpu) {
+				if w := windows[pid]; w != nil {
+					w.cpu = int32(to)
+				}
+				if cpus[to].owner == 0 && apps.has(pid) {
+					cpus[to].owner = pid
+				}
 			}
 
 		case ctlProcExit:

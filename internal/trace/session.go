@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -189,24 +188,11 @@ func (s *Session) DrainCPU(cpu int, dst []Event) []Event {
 	return s.rings[cpu].Drain(dst)
 }
 
-// Collect stops the session and returns the complete trace, sorted by
-// timestamp (ties broken by CPU then emission order, which the sort
-// preserves because records are collected per CPU in order).
-func (s *Session) Collect() *Trace {
-	s.Stop()
-	tr := &Trace{CPUs: s.cfg.CPUs, Lost: s.Lost(), Procs: s.Processes()}
-	for _, r := range s.rings {
-		tr.Events = r.Flush(tr.Events)
-	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.CPU < b.CPU
-	})
-	return tr
-}
+// Collect stops the session and returns the complete trace, as a
+// Collector that never drained would: each CPU's ring is flushed in
+// emission order and the per-CPU streams are merged by (TS, CPU) with
+// MergeStreams, so records equal in both keep their emission order.
+func (s *Session) Collect() *Trace { return NewCollector(s).Finalize() }
 
 // ProcKind classifies a process in the trace's process table.
 type ProcKind int32
@@ -229,9 +215,12 @@ type ProcInfo struct {
 
 // Trace is a fully collected event stream.
 type Trace struct {
-	CPUs   int     // CPU count the trace was captured on
-	Lost   uint64  // events dropped by the tracer's ring buffers
-	Events []Event // the merged event stream, in capture order
+	CPUs int    // CPU count the trace was captured on
+	Lost uint64 // events dropped by the tracer's ring buffers
+	// Events is the merged event stream. A collected trace holds it in
+	// (TS, CPU) order, each CPU's records in emission order
+	// (MergeStreams); a decoded one holds it as the file stored it.
+	Events []Event
 	// Procs is the process table captured at trace time.
 	Procs []ProcInfo
 }

@@ -101,15 +101,18 @@ func (f Filter) Apply(tr *trace.Trace) *trace.Trace {
 }
 
 // Merge combines multiple traces (e.g. per-node captures) into one,
-// remapping each input's CPUs onto a disjoint range and re-sorting by
-// timestamp. The inputs must share a time base.
+// remapping each input's CPUs onto a disjoint range and merging the
+// inputs by (TS, CPU) with trace.MergeStreams; an input that is not in
+// that order is sorted first. The inputs must share a time base.
 func Merge(traces ...*trace.Trace) *trace.Trace {
 	out := &trace.Trace{}
+	streams := make([][]trace.Event, len(traces))
 	base := int32(0)
-	for _, tr := range traces {
-		for _, ev := range tr.Events {
+	for i, tr := range traces {
+		streams[i] = make([]trace.Event, len(tr.Events))
+		for j, ev := range tr.Events {
 			ev.CPU += base
-			out.Events = append(out.Events, ev)
+			streams[i][j] = ev
 		}
 		out.CPUs += tr.CPUs
 		out.Lost += tr.Lost
@@ -119,13 +122,7 @@ func Merge(traces ...*trace.Trace) *trace.Trace {
 		out.Procs = append(out.Procs, tr.Procs...)
 		base += int32(tr.CPUs)
 	}
-	sort.SliceStable(out.Events, func(i, j int) bool {
-		a, b := out.Events[i], out.Events[j]
-		if a.TS != b.TS {
-			return a.TS < b.TS
-		}
-		return a.CPU < b.CPU
-	})
+	out.Events = trace.MergeStreams(streams)
 	return out
 }
 

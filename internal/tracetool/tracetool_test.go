@@ -2,6 +2,8 @@ package tracetool
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,6 +96,44 @@ func TestMerge(t *testing.T) {
 		if !seen[cpu] {
 			t.Fatalf("cpu %d missing after merge", cpu)
 		}
+	}
+}
+
+// TestMergeMatchesStableSort: Merge equals a stable sort by (TS, CPU) of
+// the inputs concatenated with their CPUs remapped, also when an input
+// is out of order or carries CPU labels outside its range, and it leaves
+// its inputs untouched.
+func TestMergeMatchesStableSort(t *testing.T) {
+	a := &trace.Trace{CPUs: 2, Events: []trace.Event{
+		{TS: 100, CPU: 1, Arg3: 0},
+		{TS: 100, CPU: 0, Arg3: 1}, // (TS, CPU) inversion
+		{TS: 50, CPU: 3, Arg3: 2},  // time inversion, CPU beyond the input's range
+		{TS: 200, CPU: -1, Arg3: 3},
+	}}
+	b := &trace.Trace{CPUs: 1, Events: []trace.Event{
+		{TS: 50, CPU: 0, Arg3: 4},
+		{TS: 100, CPU: -1, Arg3: 5}, // remaps onto a's CPU 1
+		{TS: 100, CPU: 0, Arg3: 6},
+		{TS: 100, CPU: 0, Arg3: 7},
+	}}
+	before := append(append([]trace.Event(nil), a.Events...), b.Events...)
+	want := append([]trace.Event(nil), a.Events...)
+	for _, ev := range b.Events {
+		ev.CPU += 2
+		want = append(want, ev)
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].TS != want[j].TS {
+			return want[i].TS < want[j].TS
+		}
+		return want[i].CPU < want[j].CPU
+	})
+	got := Merge(a, b)
+	if !reflect.DeepEqual(got.Events, want) {
+		t.Fatalf("merged\n%v\nwant\n%v", got.Events, want)
+	}
+	if after := append(append([]trace.Event(nil), a.Events...), b.Events...); !reflect.DeepEqual(after, before) {
+		t.Fatal("Merge modified its inputs")
 	}
 }
 

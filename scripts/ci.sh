@@ -7,13 +7,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== go build"
+# step NAME closes the running step, printing its wall time, and opens
+# the next. The EXIT trap closes the last one, also when a failing
+# command ends the run under set -e; it leaves the exit status alone.
+step_name=
+step_start=0
+step_done() {
+    if [ -n "$step_name" ]; then
+        echo "-- $step_name: $(( ($(date +%s%N) - step_start) / 1000000 )) ms"
+    fi
+    step_name=
+}
+step() {
+    step_done
+    step_name="$1"
+    step_start="$(date +%s%N)"
+    echo "== $1"
+}
+trap step_done EXIT
+
+step "go build"
 go build ./...
 
-echo "== go vet"
+step "go vet"
 go vet ./...
 
-echo "== noisevet (internal/analysis suite)"
+step "noisevet (internal/analysis suite)"
 # -stats prints a per-analyzer findings count to stderr so the CI log
 # shows each analyzer ran, even when the tree is clean. -staleignore
 # additionally fails the run on //noisevet:ignore or
@@ -21,7 +40,7 @@ echo "== noisevet (internal/analysis suite)"
 # exemption is a latent hole the next refactor falls through.
 go run ./cmd/noisevet -stats -staleignore ./...
 
-echo "== noisevet timing budget"
+step "noisevet timing budget"
 # The suite must stay cheap enough to run on every push: the full
 # 14-analyzer run over ./... (load + type-check + analyses) has to
 # finish inside the budget. -timing prints the per-analyzer split to
@@ -43,29 +62,29 @@ if [ "$elapsed_ms" -gt "$budget_ms" ]; then
     exit 1
 fi
 
-echo "== escape-analysis baseline (//noisevet:hotpath files)"
+step "escape-analysis baseline (//noisevet:hotpath files)"
 # One-sided gate: a NEW compiler-reported heap escape in a hot-path
 # file fails the run (the hotpath analyzer catches patterns; this
 # catches what only the compiler's escape analysis can see).
 scripts/escape_baseline.sh
 
-echo "== doc cross-links (files + section anchors)"
+step "doc cross-links (files + section anchors)"
 # Markdown links must resolve and ARCHITECTURE/DESIGN §-references
 # must name sections that still exist — inserting a section and
 # renumbering the rest is exactly the edit that silently strands
 # references in README, DESIGN, and package godoc.
 scripts/doclink.sh
 
-echo "== doc lint (noisevet doccomment analyzer)"
+step "doc lint (noisevet doccomment analyzer)"
 # Redundant with the full suite above, but a dedicated step keeps the
 # failure mode legible: this one is "an exported identifier in the
 # audited packages lost its doc comment", nothing else.
 go run ./cmd/noisevet -only doccomment ./...
 
-echo "== go test -race"
+step "go test -race"
 go test -race ./...
 
-echo "== corruption suite (trace fault injector, race-instrumented)"
+step "corruption suite (trace fault injector, race-instrumented)"
 # The deterministic fault injector sweeps every mutation over every
 # encoding and feeds the result to every reader entry point; any panic
 # or untyped error from corrupted bytes fails the run. Part of the
@@ -73,14 +92,14 @@ echo "== corruption suite (trace fault injector, race-instrumented)"
 go test -race -run 'TestCorruption|TestMutations|TestValidTrace|TestWrongMagic' \
     ./internal/trace/corrupt
 
-echo "== fuzz smoke: noisevet directive parser"
+step "fuzz smoke: noisevet directive parser"
 # The //noisevet:* directive grammar is parsed from arbitrary source
 # comments; its checked-in corpus under
 # internal/analysis/directive/testdata/fuzz replays in the plain test
 # run, and a short live fuzz keeps the corpus honest.
 go test ./internal/analysis/directive -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s
 
-echo "== fuzz smoke: trace codec + decoder surfaces"
+step "fuzz smoke: trace codec + decoder surfaces"
 # -fuzz accepts a single target per invocation; smoke each codec fuzzer
 # briefly. FuzzParse (paraver) is covered by its seed corpus in the
 # regular run above; the checked-in corpora under
@@ -90,7 +109,7 @@ for target in FuzzRead FuzzReadCompressed FuzzReadAny \
     go test ./internal/trace -run="^$" -fuzz="^${target}\$" -fuzztime=10s
 done
 
-echo "== fault-injection suite (cluster crash/straggler/hang, race-instrumented)"
+step "fault-injection suite (cluster crash/straggler/hang, race-instrumented)"
 # The resilience layer: seeded crash/straggler/hang schedules executed
 # on virtual time across worker counts, checkpoint/restart recovery,
 # degraded-mode allreduce, and the seed-determinism (bit-identical
@@ -99,14 +118,14 @@ echo "== fault-injection suite (cluster crash/straggler/hang, race-instrumented)
 go test -race -run 'TestFaulted|TestCrash|TestCheckpoint|TestHang|TestStraggler|TestDegraded|TestAllRanksFailed|TestFaultOnDeadRank|TestSchedule' \
     ./internal/cluster/...
 
-echo "== cancellation suite (goroutine-leak regression, race-instrumented)"
+step "cancellation suite (goroutine-leak regression, race-instrumented)"
 # Cancelling every parallel entry point mid-run across shard counts
 # must return the typed ErrCancelled error with a partial result and
 # leave runtime.NumGoroutine() at its baseline.
 go test -race -run 'TestCancel|TestRunCancelled|TestReadParallelCancelled' \
     ./internal/noise ./internal/trace ./internal/cluster/... ./internal/mpi
 
-echo "== daemon soak (multi-tenant streaming ingest, race-instrumented)"
+step "daemon soak (multi-tenant streaming ingest, race-instrumented)"
 # The noised daemon's concurrency contract: 1000 concurrent tenant
 # streams through the router with per-tenant windows bit-identical to
 # the batch analyzer, plus an end-to-end soak with both transports
@@ -117,7 +136,7 @@ echo "== daemon soak (multi-tenant streaming ingest, race-instrumented)"
 go test -race -run 'TestRouterSoak|TestDaemonSoakMixedTransports' \
     ./internal/daemon/...
 
-echo "== cancellation smoke: -timeout exits with the documented code"
+step "cancellation smoke: -timeout exits with the documented code"
 # A 1 ms deadline against a multi-second analysis must exit 3 — cleanly
 # and promptly, never a deadlock or a goroutine dump. `timeout 60`
 # guards the "never hangs" half of the contract. The binaries are built
@@ -141,7 +160,7 @@ if [ "$rc" -ne 3 ]; then
 fi
 rm -rf "$smokedir"
 
-echo "== pipeline benchmark smoke"
+step "pipeline benchmark smoke"
 # A small-trace run of the analysis-pipeline benchmark: exercises the
 # sequential baseline, the sharded raw path at each shard count, and
 # the bit-identity check (the run aborts if any report diverges). The
@@ -150,7 +169,7 @@ echo "== pipeline benchmark smoke"
 go run ./cmd/noisebench -pipeline -pipeline-events 100000 -pipeline-reps 1 \
     -json "$(mktemp -d)/BENCH_pipeline.json"
 
-echo "== pipeline regression gate (1M events)"
+step "pipeline regression gate (1M events)"
 # Full-size run gated against the recorded performance trajectory: the
 # best parallel wall time may not regress more than 10% relative to the
 # last comparable entry (same GOMAXPROCS and event count) appended to
@@ -161,10 +180,11 @@ echo "== pipeline regression gate (1M events)"
 go run ./cmd/noisebench -pipeline -pipeline-events 1000000 -pipeline-reps 3 \
     -pipeline-gate results/BENCH_pipeline.json -pipeline-gate-pct 10
 
-echo "== repository benchmark smoke"
+step "repository benchmark smoke"
 # bench/ is a module of its own, so ./... above never reaches it. Its
 # tests run each workload at a tiny size and check the outputs, so a
 # workload broken by a program change fails here, not in a benchmark run.
 (cd bench && go test .)
 
+step_done
 echo "CI OK"
