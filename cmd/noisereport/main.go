@@ -26,7 +26,6 @@ import (
 	"osnoise/internal/export"
 	"osnoise/internal/noise"
 	"osnoise/internal/paraver"
-	"osnoise/internal/trace"
 	"osnoise/internal/tracetool"
 )
 
@@ -36,16 +35,6 @@ import (
 func fatal(err error) {
 	log.Print(err)
 	os.Exit(tracetool.ExitCode(err))
-}
-
-// analyze dispatches to the sequential or sharded analyzer; both produce
-// bit-identical reports, so the choice is purely about wall-clock time.
-// The sequential path honours the budget but has no cancellation points.
-func analyze(ctx context.Context, tr *trace.Trace, opts noise.Options, shards int) (*noise.Report, error) {
-	if shards == 1 {
-		return noise.Analyze(tr, opts), nil
-	}
-	return noise.AnalyzeParallel(ctx, tr, opts, shards)
 }
 
 func main() {
@@ -66,7 +55,7 @@ func main() {
 		comps     = flag.Bool("compositions", false, "summarise interruptions by composition")
 		jsonOut   = flag.String("json", "", "write the analysis summary as JSON here")
 		compare   = flag.String("compare", "", "second trace: print a before/after noise diff")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "decode+analysis shards (1 = sequential)")
+		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "decode+analysis shards (the report is the same at any count)")
 		timeout   = flag.Duration("timeout", 0, "cancel the run after this duration (exit code 3)")
 		budget    = flag.String("budget", "", "resource caps: events=N,bytes=N,interruptions=N")
 	)
@@ -99,7 +88,7 @@ func main() {
 	opts.FromNS = *fromNS
 	opts.ToNS = *toNS
 	opts.Budget = bud
-	rep, err := analyze(ctx, tr, opts, *parallel)
+	rep, err := noise.AnalyzeParallel(ctx, tr, opts, *parallel)
 	if err != nil {
 		if rep != nil {
 			log.Printf("partial result: %d events consumed, %d CPUs finished",
@@ -170,7 +159,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		rep2, err := analyze(ctx, tr2, opts, *parallel)
+		rep2, err := noise.AnalyzeParallel(ctx, tr2, opts, *parallel)
 		if err != nil {
 			fatal(err)
 		}

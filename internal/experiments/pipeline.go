@@ -32,7 +32,8 @@ type PipelineShard struct {
 
 // PipelineBench is the machine-readable result of the analysis-pipeline
 // benchmark (BENCH_pipeline.json): the sequential decode+analyze
-// baseline versus the sharded pipeline at each shard count, on the same
+// baseline (trace.Read, then noise.Analyze, the engine at one shard)
+// versus the raw sharded pipeline at each shard count, on the same
 // in-memory trace bytes.
 type PipelineBench struct {
 	Date       string          `json:"date,omitempty"` // RFC 3339 UTC, stamped when appended to a trajectory

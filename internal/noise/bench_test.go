@@ -42,6 +42,8 @@ func benchRaw(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// BenchmarkAnalyzeSequential times the harness's "sequential" row: a
+// full trace.Read, then Analyze, which is the engine at one shard.
 func BenchmarkAnalyzeSequential(b *testing.B) {
 	raw := benchRaw(b)
 	opts := noise.DefaultOptions()

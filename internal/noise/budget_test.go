@@ -2,11 +2,12 @@ package noise_test
 
 // Budget degradation tests: resource caps must degrade the report
 // gracefully — truncated prefix, sampled detail, exact totals — and do
-// so bit-identically across the sequential, parallel, stream, and raw
-// analysis paths.
+// so bit-identically across the sequential oracle and every entry
+// point: Analyze and the parallel, stream, and raw analysis paths.
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -14,13 +15,14 @@ import (
 	"osnoise/internal/trace"
 )
 
-// runAllPaths analyses the same trace through every entry point and
-// asserts the four reports are bit-identical, returning the sequential
-// one.
+// runAllPaths analyses the same trace through the sequential oracle and
+// every entry point and asserts the five reports are bit-identical,
+// returning the oracle's.
 func runAllPaths(t *testing.T, tr *trace.Trace, opts noise.Options, shards int) *noise.Report {
 	t.Helper()
 	raw := encodeTrace(t, tr)
-	want := noise.Analyze(tr, opts)
+	want := noise.AnalyzeOracle(tr, opts)
+	compareReports(t, want, noise.Analyze(tr, opts))
 	for _, p := range shardedPaths {
 		got, err := p.run(tr, raw, opts, shards)
 		if err != nil {
@@ -51,7 +53,7 @@ func TestEventBudgetTruncatesPrefix(t *testing.T) {
 			}
 			// The budgeted run must equal an unbudgeted run over the prefix.
 			prefix := &trace.Trace{CPUs: tr.CPUs, Events: tr.Events[:cap64], Procs: tr.Procs}
-			ref := noise.Analyze(prefix, noise.DefaultOptions())
+			ref := noise.AnalyzeOracle(prefix, noise.DefaultOptions())
 			if r.TotalNoiseNS != ref.TotalNoiseNS || r.Breakdown != ref.Breakdown {
 				t.Fatalf("budgeted run diverges from prefix run: noise %d vs %d", r.TotalNoiseNS, ref.TotalNoiseNS)
 			}
@@ -60,8 +62,8 @@ func TestEventBudgetTruncatesPrefix(t *testing.T) {
 }
 
 // TestByteBudgetMatchesEventBudget caps by bytes: MaxBytes rounds down
-// to whole event records, so it must reproduce the equivalent MaxEvents
-// run exactly.
+// to whole event records, so every entry point must reproduce the
+// oracle's equivalent MaxEvents run exactly.
 func TestByteBudgetMatchesEventBudget(t *testing.T) {
 	tr := simTrace(2)
 	n := uint64(len(tr.Events)) * 2 / 3
@@ -72,8 +74,8 @@ func TestByteBudgetMatchesEventBudget(t *testing.T) {
 	// Add a partial record's worth of slack: it must not buy an event.
 	byBytes.Budget = noise.Budget{MaxBytes: n*trace.EventSize + trace.EventSize - 1}
 
-	a := noise.Analyze(tr, byEvents)
-	b := noise.Analyze(tr, byBytes)
+	a := noise.AnalyzeOracle(tr, byEvents)
+	b := runAllPaths(t, tr, byBytes, 2)
 	compareReports(t, a, b)
 	if a.EventsConsumed != n || b.EventsConsumed != n {
 		t.Fatalf("consumed %d/%d, want %d", a.EventsConsumed, b.EventsConsumed, n)
@@ -85,7 +87,7 @@ func TestByteBudgetMatchesEventBudget(t *testing.T) {
 // aggregate total stays exact.
 func TestInterruptionBudgetSamples(t *testing.T) {
 	tr := simTrace(9)
-	full := noise.Analyze(tr, noise.DefaultOptions())
+	full := noise.AnalyzeOracle(tr, noise.DefaultOptions())
 	if len(full.Interruptions) < 50 {
 		t.Fatalf("trace too quiet for the test: %d interruptions", len(full.Interruptions))
 	}
@@ -142,12 +144,40 @@ func TestReservoirDeterministic(t *testing.T) {
 // TestZeroBudgetIsUnlimited locks the zero-value contract.
 func TestZeroBudgetIsUnlimited(t *testing.T) {
 	tr := simTrace(1)
-	plain := noise.Analyze(tr, noise.DefaultOptions())
+	plain := noise.AnalyzeOracle(tr, noise.DefaultOptions())
 	opts := noise.DefaultOptions()
 	opts.Budget = noise.Budget{}
 	budgeted := noise.Analyze(tr, opts)
 	compareReports(t, plain, budgeted)
 	if budgeted.Incomplete || budgeted.InterruptionsSampled {
 		t.Fatal("zero budget degraded the report")
+	}
+}
+
+// TestEventCapCeiling pins the engine's event ceiling: every budget,
+// the zero one included, folds to at most math.MaxInt32 records, the
+// most the engine's int32 counters can index, so a longer input is
+// analysed as its prefix and marked Incomplete.
+func TestEventCapCeiling(t *testing.T) {
+	const ceiling = math.MaxInt32
+	for _, c := range []struct {
+		name string
+		b    noise.Budget
+		want uint64
+	}{
+		{"zero", noise.Budget{}, ceiling},
+		{"interruptionsOnly", noise.Budget{MaxInterruptions: 5}, ceiling},
+		{"eventsBelow", noise.Budget{MaxEvents: 1000}, 1000},
+		{"eventsAtCeiling", noise.Budget{MaxEvents: ceiling}, ceiling},
+		{"eventsAbove", noise.Budget{MaxEvents: ceiling + 1}, ceiling},
+		{"eventsMax", noise.Budget{MaxEvents: math.MaxUint64}, ceiling},
+		{"bytesBelow", noise.Budget{MaxBytes: 1000 * trace.EventSize}, 1000},
+		{"bytesAbove", noise.Budget{MaxBytes: (ceiling + 1) * trace.EventSize}, ceiling},
+		{"bytesMax", noise.Budget{MaxBytes: math.MaxUint64}, ceiling},
+		{"smallerWins", noise.Budget{MaxEvents: 7, MaxBytes: 100 * trace.EventSize}, 7},
+	} {
+		if got := noise.EventCap(c.b); got != c.want {
+			t.Errorf("%s: event cap %d, want %d", c.name, got, c.want)
+		}
 	}
 }

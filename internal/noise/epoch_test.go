@@ -2,14 +2,15 @@ package noise_test
 
 // Epoch equivalence: the analysis range cut by time into 1, 2, 4 or 8
 // epochs, each analysed as a window of its own (FromNS/ToNS), must give
-// the sequential analyzer's report bit for bit on every sharded entry
-// point at every shard count. A cut drops the events outside its
-// window, so an epoch starts mid-state: exits with no entry, preemption
-// windows that never close, owners unknown until the next switch. The
-// hand-built traces aim the cuts at the awkward places: inside a nested
-// interruption, inside an open preemption window, across a region with
-// no application events at all, and across same-timestamp span
-// boundaries (which force the interruption sort's tie-break fallback).
+// the sequential oracle's report bit for bit on Analyze and on every
+// sharded entry point at every shard count. A cut drops the events
+// outside its window, so an epoch starts mid-state: exits with no
+// entry, preemption windows that never close, owners unknown until the
+// next switch. The hand-built traces aim the cuts at the awkward places:
+// inside a nested interruption, inside an open preemption window, across
+// a region with no application events at all, and across same-timestamp
+// span boundaries (which force the interruption sort's tie-break
+// fallback).
 
 import (
 	"fmt"
@@ -46,9 +47,10 @@ func epochWindows(tr *trace.Trace, base noise.Options, n int) []noise.Options {
 	return out
 }
 
-// shardEpochMatrix runs tr through every sharded entry point at every
-// shards × epochs combination and compares each epoch's report against
-// the sequential oracle's for the same window.
+// shardEpochMatrix runs tr through Analyze once per epoch count and
+// through every sharded entry point at every shards × epochs
+// combination, and compares each epoch's report against the sequential
+// oracle's for the same window.
 func shardEpochMatrix(t *testing.T, tr *trace.Trace, base noise.Options) {
 	t.Helper()
 	raw := encodeTrace(t, tr)
@@ -56,8 +58,16 @@ func shardEpochMatrix(t *testing.T, tr *trace.Trace, base noise.Options) {
 		windows := epochWindows(tr, base, epochs)
 		want := make([]*noise.Report, len(windows))
 		for k, opts := range windows {
-			want[k] = noise.Analyze(tr, opts)
+			want[k] = noise.AnalyzeOracle(tr, opts)
 		}
+		t.Run(fmt.Sprintf("epochs%d/analyze", epochs), func(t *testing.T) {
+			for k, opts := range windows {
+				compareReports(t, want[k], noise.Analyze(tr, opts))
+				if t.Failed() {
+					t.Fatalf("epoch %d of %d, window [%d, %d] ns", k+1, epochs, opts.FromNS, opts.ToNS)
+				}
+			}
+		})
 		for _, shards := range []int{1, 2, 4, 8} {
 			for _, p := range shardedPaths {
 				t.Run(fmt.Sprintf("shards%d/epochs%d%s", shards, epochs, p.suffix), func(t *testing.T) {
@@ -134,13 +144,14 @@ func TestEpochSameTimestampTies(t *testing.T) {
 
 // TestSingleEpochDegenerate pins the one-epoch case on a full simulated
 // workload: the whole trace, no window, in one replay pass matches the
-// sequential report bit for bit at every shard count on every sharded
-// entry point.
+// oracle's report bit for bit on Analyze and at every shard count on
+// every sharded entry point.
 func TestSingleEpochDegenerate(t *testing.T) {
 	tr := simTrace(9)
 	raw := encodeTrace(t, tr)
 	opts := noise.DefaultOptions()
-	want := noise.Analyze(tr, opts)
+	want := noise.AnalyzeOracle(tr, opts)
+	compareReports(t, want, noise.Analyze(tr, opts))
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			for _, p := range shardedPaths {

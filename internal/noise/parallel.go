@@ -24,19 +24,19 @@
 //     so the two phases overlap instead of running back to back;
 //  3. replay: the control stream is walked, applying the
 //     scheduler/owner/preemption-window state machine and feeding every
-//     finished span through Report.record in exactly the order the
-//     sequential analyzer would have.
+//     finished span through Report.record in the trace's global order.
 //
 // Because phase 3 performs the same accumulator calls in the same order
-// as Analyze, the resulting Report is bit-identical to the sequential
-// one — including the order-sensitive floating-point summary fields.
-// The equivalence tests in parallel_test.go and epoch_test.go lock this
-// invariant.
+// as the sequential test oracle (oracle_test.go), the resulting Report
+// is bit-identical to the oracle's at every shard count — including the
+// order-sensitive floating-point summary fields. Analyze is this
+// pipeline at one shard. The equivalence tests in parallel_test.go and
+// epoch_test.go lock this invariant.
 //
 // The walkers also pre-count spans per key, so the replay appends into
-// exactly-sized slices — the sequential analyzer cannot know those
-// counts without a second pass, which is how the pipeline stays ahead
-// even before any shard runs concurrently. The raw path additionally
+// exactly-sized slices — a single event-by-event pass cannot know those
+// counts without a second pass, which is how the pipeline beats the
+// oracle even at one shard. The raw path additionally
 // recycles its large scratch buffers (per-chunk sub-streams, decode
 // arenas, walker span lists) through sync.Pools, so a steady-state
 // consumer — the noised daemon, the pipeline benchmark's repetitions —
@@ -52,7 +52,6 @@ package noise
 import (
 	"context"
 	"io"
-	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -99,7 +98,7 @@ const (
 var evClass = buildEvClass()
 
 // buildEvClass derives the routing table from the ID predicates the
-// sequential analyzer switches on, so the two can never disagree.
+// test oracle switches on, so the two can never disagree.
 func buildEvClass() (t [trace.NumIDs]uint8) {
 	for id := trace.ID(0); int(id) < trace.NumIDs; id++ {
 		switch {
@@ -120,7 +119,7 @@ func buildEvClass() (t [trace.NumIDs]uint8) {
 
 // classOf routes one tracepoint ID, tolerating IDs beyond the table (a
 // corrupt or newer-format record classifies as ignored, exactly as the
-// sequential analyzer's predicate chain would).
+// oracle's predicate chain would).
 func classOf(id trace.ID) uint8 {
 	if int(id) < len(evClass) {
 		return evClass[id]
@@ -175,8 +174,8 @@ type spanRec struct {
 }
 
 // cpuWalker reconstructs the kernel-activity spans of one CPU's
-// entry/exit sub-stream. It is the parallel counterpart of the stack
-// handling inside Analyze and must mirror it exactly.
+// entry/exit sub-stream. It must mirror the test oracle's stack
+// handling exactly.
 type cpuWalker struct {
 	attributeNesting bool
 	stack            []openSpan
@@ -270,7 +269,7 @@ type ctlStream struct {
 }
 
 // inWindow reports whether a timestamp falls inside the analysis window
-// (mirrors the filter at the top of Analyze's event loop).
+// (the filter at the top of the test oracle's event loop).
 func (o *Options) inWindow(ts int64) bool {
 	if o.FromNS == 0 && o.ToNS == 0 {
 		return true
@@ -283,7 +282,7 @@ func (o *Options) inWindow(ts int64) bool {
 // preserves order everywhere. The sub-streams are compacted cev records
 // so the walkers scan 16 bytes per event instead of striding through
 // the full interleaved 40-byte stream. dropped counts events outside
-// the CPU range (mirroring Analyze's Dropped accounting for them).
+// the CPU range (the oracle's Dropped accounting for them).
 //
 // Both passes check ctx every cancelStride records; on cancellation the
 // chunk workers stop where they are, the pass still joins every worker,
@@ -581,8 +580,8 @@ func scanChunk(ctx context.Context, rt *trace.RawTrace, opts *Options, ncpu int,
 // the number of records to partition — the full event count, or less
 // when an event/byte budget truncates ingestion to a prefix. dropped
 // (out-of-range CPU records) is summed over chunks exactly as the
-// sequential analyzer counts them; the equivalence suite asserts the
-// resulting Report.Dropped against Analyze's.
+// oracle counts them; the equivalence suites assert the resulting
+// Report.Dropped against the oracle's.
 //
 // The scan workers check ctx once per decode batch and count progress
 // into prog.events; on cancellation every worker is still joined, every
@@ -818,11 +817,11 @@ func runWalkers(ctx context.Context, perCPU [][]cev, attributeNesting bool, work
 // prealloc right-sizes the report's append targets before the replay:
 // the walkers know exactly how many spans of each key they produced, and
 // the partition bounds the preemption spans by the switch count, so the
-// replay's record calls never re-grow a slice. (The sequential analyzer
-// cannot know these counts without a second pass — this is where the
-// sharded pipeline recovers the partition cost.) Slices stay nil when
+// replay's record calls never re-grow a slice. (A single event-by-event
+// pass cannot know these counts without a second pass — this is where
+// the pipeline recovers the partition cost.) Slices stay nil when
 // nothing will be appended so the report compares equal to the
-// sequential one.
+// oracle's.
 func (r *Report) prealloc(walkers []cpuWalker, switches int, keep bool) {
 	total := 0
 	var perKey [NumKeys]int
@@ -859,7 +858,8 @@ type ispanKey struct {
 }
 
 // keyCmp is the interruption sort order on keys: start ascending, then
-// end descending — exactly interruptionsForCPU's comparator. Ties (two
+// end descending — exactly the comparator of the test oracle's stable
+// sort (interruptionsForCPU in oracle_test.go). Ties (two
 // spans with identical start and end, common at same-timestamp
 // boundaries) compare equal here; use keyCmpTotal where a deterministic
 // order is required.
@@ -883,7 +883,7 @@ func keyCmp(a, b ispanKey) int {
 // span's record index, ascending. Keys are built in record order, so
 // sorting by keyCmpTotal from ANY permutation yields exactly the order
 // sort.SliceStable with keyCmp would give the original sequence — the
-// tie-handling contract the sequential interruptionsForCPU provides.
+// tie-handling contract of the oracle's stable sort.
 func keyCmpTotal(a, b ispanKey) int {
 	if c := keyCmp(a, b); c != 0 {
 		return c
@@ -909,17 +909,27 @@ func keyCmpTotal(a, b ispanKey) int {
 // reports false, and the caller must fall back to the total-order sort
 // (keyCmpTotal), whose tie-break reproduces the stable order.
 func sortKeysNearSorted(keys []ispanKey) bool {
-	w := 0
-	var outliers []ispanKey
-	for _, k := range keys {
-		if w > 0 && keyCmp(k, keys[w-1]) < 0 {
-			outliers = append(outliers, k)
-			continue
+	// Count the outliers first (keys below the last key kept in order),
+	// so they get one exact allocation and a sorted input none.
+	nout, last := 0, 0
+	for i := 1; i < len(keys); i++ {
+		if keyCmp(keys[i], keys[last]) < 0 {
+			nout++
+		} else {
+			last = i
 		}
-		keys[w] = k
-		w++
 	}
-	if len(outliers) > 0 {
+	if nout > 0 {
+		outliers := make([]ispanKey, 0, nout)
+		w := 0
+		for _, k := range keys {
+			if w > 0 && keyCmp(k, keys[w-1]) < 0 {
+				outliers = append(outliers, k)
+				continue
+			}
+			keys[w] = k
+			w++
+		}
 		slices.SortFunc(outliers, keyCmpTotal)
 		// Rear merge: fill keys from the back; t never catches up to i.
 		i, t := w-1, len(keys)-1
@@ -942,8 +952,8 @@ func sortKeysNearSorted(keys []ispanKey) bool {
 }
 
 // sortInterruptionKeys sorts one CPU's interruption keys in place:
-// same comparator and provably the same order as interruptionsForCPU's
-// stable sort. The near-sorted fast path is exact for distinct keys
+// same comparator and provably the same order as the oracle's stable
+// sort. The near-sorted fast path is exact for distinct keys
 // (the sorted order is unique); when it detects ties it reports failure
 // and the total-order sort lands them by ascending record index — which
 // IS the stable order, because the replay wrote the keys in record
@@ -1005,20 +1015,19 @@ func fillInterruptions(cpu int32, keys []ispanKey, gap int64, out []Interruption
 	out[n] = cur
 }
 
-// buildInterruptionsParallel is buildInterruptions with the per-CPU
-// grouping fanned out over a worker pool, in two phases: first every
-// CPU's keys are sorted and its interruption count dry-run in parallel,
-// then the full interruption list and one global component arena are
+// buildInterruptionsParallel groups each CPU's noise spans into
+// interruptions over a worker pool, in two phases: first every CPU's
+// keys are sorted and its interruption count dry-run in parallel, then
+// the full interruption list and one global component arena are
 // allocated once and the workers fill disjoint subranges in place.
 // CPUs are independent and their ranges concatenate in ascending CPU
-// order, so the output is identical to the sequential builder's: each
-// CPU's noise spans are gathered from r.Spans in record order, exactly
-// the sequence noiseByCPU produces.
+// order; each CPU's keys arrive in record order (the replay writes
+// them), the sequence the oracle's builder groups.
 //
 // Workers check ctx at every CPU claim; on cancellation both pools are
 // still joined and the context's error is returned.
 func (r *Report) buildInterruptionsParallel(ctx context.Context, noiseIdx [][]ispanKey, gap int64, workers int) error {
-	var cpuIDs []int32
+	cpuIDs := make([]int32, 0, len(noiseIdx))
 	for c := range noiseIdx {
 		if len(noiseIdx[c]) > 0 {
 			cpuIDs = append(cpuIDs, int32(c))
@@ -1113,11 +1122,11 @@ func (r *Report) finish(ctx context.Context, walkers []cpuWalker, windows map[in
 }
 
 // AnalyzeParallel runs the full noise analysis sharded across per-CPU
-// event streams using up to `shards` workers (≤ 0 means GOMAXPROCS).
-// The report it produces is bit-identical to Analyze's on the same
-// trace and options — budgets included: per-CPU span reconstruction is
+// event streams using up to `shards` workers (≤ 0 means GOMAXPROCS);
+// Analyze is this call at one shard. The report is bit-identical at
+// every shard count, budgets included: per-CPU span reconstruction is
 // exact (nesting never crosses a CPU) and the final accumulation
-// replays in sequential order (replay.go).
+// replays in the trace's global order (replay.go).
 //
 // Cancelling ctx stops the run at the next batch boundary with no
 // leaked goroutines; the partial Report (marked Incomplete, with
@@ -1129,15 +1138,6 @@ func AnalyzeParallel(ctx context.Context, tr *trace.Trace, opts Options, shards 
 	}
 	var prog progress
 	events, truncated := opts.Budget.truncate(tr.Events)
-	if len(events) > math.MaxInt32 {
-		// The control stream counts exits in int32 (schedRec.exitsBefore);
-		// beyond that (an ~86 GB trace) fall back to the sequential
-		// analyzer, which produces the identical report.
-		if ctx.Err() != nil {
-			return (&Report{CPUs: tr.CPUs}).markCancelled(&prog), cancelErr(ctx)
-		}
-		return Analyze(tr, opts), nil
-	}
 	first, last := eventSpan(events)
 	// The process table is already in memory: reading it cannot fail.
 	r, apps, _ := newReport(tr.CPUs, first, last, &opts, func() ([]trace.ProcInfo, error) { return tr.Procs, nil })
@@ -1194,16 +1194,6 @@ func AnalyzeRaw(ctx context.Context, ra io.ReaderAt, size int64, opts Options, s
 	truncated := false
 	if limit := opts.Budget.eventCap(); count > limit {
 		count, truncated = limit, true
-	}
-	if count > math.MaxInt32 {
-		tr, err := trace.ReadParallel(ctx, ra, size, shards)
-		if err != nil {
-			if ctx.Err() != nil {
-				return (&Report{CPUs: rt.CPUs()}).markCancelled(&prog), cancelErr(ctx)
-			}
-			return nil, err
-		}
-		return Analyze(tr, opts), nil
 	}
 	// The consumed range needs only its two end records decoded; under a
 	// budget it is the consumed prefix, like eventSpan in the other paths.

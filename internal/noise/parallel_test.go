@@ -27,8 +27,8 @@ func compareReports(t *testing.T, want, got *noise.Report) {
 		t.Errorf("dropped: want %d, got %d", want.Dropped, got.Dropped)
 	}
 	// Accounting invariant: every ingested record is either consumed or
-	// (for routing rejects) counted in Dropped — the parallel paths must
-	// agree with the sequential analyzer on both tallies, which the
+	// (for routing rejects) counted in Dropped — every entry point must
+	// agree with the sequential oracle on both tallies, which the
 	// out-of-range-CPU events in the handmade trace exercise.
 	if want.EventsConsumed != got.EventsConsumed {
 		t.Errorf("events consumed: want %d, got %d", want.EventsConsumed, got.EventsConsumed)
@@ -114,11 +114,17 @@ func optionVariants() map[string]noise.Options {
 	}
 }
 
+// TestParallelMatchesSequential compares Analyze and AnalyzeParallel,
+// at shard counts up to more than twice the CPU count, against the
+// sequential oracle on simulated workload traces.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 6, 42} {
 		tr := simTrace(seed)
 		for name, opts := range optionVariants() {
-			want := noise.Analyze(tr, opts)
+			want := noise.AnalyzeOracle(tr, opts)
+			t.Run(fmt.Sprintf("seed%d/%s/analyze", seed, name), func(t *testing.T) {
+				compareReports(t, want, noise.Analyze(tr, opts))
+			})
 			for _, shards := range []int{1, 2, 4, 8, tr.CPUs*2 + 3} {
 				t.Run(fmt.Sprintf("seed%d/%s/shards%d", seed, name, shards), func(t *testing.T) {
 					got, err := noise.AnalyzeParallel(context.Background(), tr, opts, shards)
@@ -137,7 +143,7 @@ func TestStreamMatchesSequential(t *testing.T) {
 		tr := simTrace(seed)
 		raw := encodeTrace(t, tr)
 		for name, opts := range optionVariants() {
-			want := noise.Analyze(tr, opts)
+			want := noise.AnalyzeOracle(tr, opts)
 			for _, shards := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("seed%d/%s/shards%d", seed, name, shards), func(t *testing.T) {
 					d, err := trace.NewDecoder(bytes.NewReader(raw))
@@ -157,13 +163,13 @@ func TestStreamMatchesSequential(t *testing.T) {
 
 // TestRawMatchesSequential locks the zero-materialisation path: running
 // the analysis straight off the encoded trace bytes must reproduce the
-// sequential report bit for bit, windowing and ablations included.
+// oracle's report bit for bit, windowing and ablations included.
 func TestRawMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 6} {
 		tr := simTrace(seed)
 		raw := encodeTrace(t, tr)
 		for name, opts := range optionVariants() {
-			want := noise.Analyze(tr, opts)
+			want := noise.AnalyzeOracle(tr, opts)
 			for _, shards := range []int{1, 3, 8} {
 				t.Run(fmt.Sprintf("seed%d/%s/shards%d", seed, name, shards), func(t *testing.T) {
 					got, err := noise.AnalyzeRaw(context.Background(), bytes.NewReader(raw), int64(len(raw)), opts, shards)
@@ -310,12 +316,19 @@ func handTraces() []namedTrace {
 	}
 }
 
-// TestParallelHandmade runs every hand-built trace through every sharded
-// entry point at 1, 2 and 8 shards, for every option variant, and
-// compares each report against Analyze's.
+// TestParallelHandmade runs every hand-built trace through Analyze and
+// through every sharded entry point at 1, 2 and 8 shards, for every
+// option variant, and compares each report against the oracle's.
 func TestParallelHandmade(t *testing.T) {
 	traces := handTraces()
 	for name, opts := range optionVariants() {
+		t.Run(name+"/analyze", func(t *testing.T) {
+			for _, h := range traces {
+				t.Run(h.name, func(t *testing.T) {
+					compareReports(t, noise.AnalyzeOracle(h.tr, opts), noise.Analyze(h.tr, opts))
+				})
+			}
+		})
 		for _, shards := range []int{1, 2, 8} {
 			for _, p := range shardedPaths {
 				t.Run(fmt.Sprintf("%s/shards%d%s", name, shards, p.suffix), func(t *testing.T) {
@@ -325,7 +338,7 @@ func TestParallelHandmade(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							compareReports(t, noise.Analyze(h.tr, opts), got)
+							compareReports(t, noise.AnalyzeOracle(h.tr, opts), got)
 						})
 					}
 				})
@@ -358,7 +371,9 @@ func TestMigrateCPUArgRule(t *testing.T) {
 
 // TestStartOnlyWindowSeconds pins Seconds for a window with a start and
 // no end (ToNS = 0, "to the end of the trace"): it runs from FromNS to
-// the last consumed event, floored at zero, on every entry point.
+// the last consumed event, floored at zero. The oracle is checked
+// against the value and every entry point against the oracle's report,
+// Seconds included.
 func TestStartOnlyWindowSeconds(t *testing.T) {
 	tr := handTrace(1,
 		appRunning(0, 0, 42),
@@ -384,17 +399,17 @@ func TestStartOnlyWindowSeconds(t *testing.T) {
 		opts.FromNS = c.from
 		opts.Budget.MaxEvents = c.maxEvents
 		t.Run(c.name, func(t *testing.T) {
-			if got := noise.Analyze(tr, opts).Seconds; got != c.want {
-				t.Errorf("Analyze: seconds %v, want %v", got, c.want)
+			want := noise.AnalyzeOracle(tr, opts)
+			if want.Seconds != c.want {
+				t.Errorf("oracle: seconds %v, want %v", want.Seconds, c.want)
 			}
+			compareReports(t, want, noise.Analyze(tr, opts))
 			for _, p := range shardedPaths {
 				r, err := p.run(tr, raw, opts, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if r.Seconds != c.want {
-					t.Errorf("path %q: seconds %v, want %v", p.suffix, r.Seconds, c.want)
-				}
+				compareReports(t, want, r)
 			}
 		})
 	}

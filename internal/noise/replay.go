@@ -3,7 +3,8 @@
 // The replay is order-sensitive — preemption windows follow tasks across
 // CPUs, and the floating-point accumulators must be fed in global order
 // — so it is one pass over the control stream that records every span
-// straight into the Report, in exactly the sequential analyzer's order.
+// straight into the Report, in the trace's global order: the order the
+// sequential test oracle (oracle_test.go) records in.
 // Splitting it by time into concurrently replayed epochs was measured
 // slower end to end: the merge still had to feed every span through
 // Report.record in order (docs/ARCHITECTURE.md §3).

@@ -38,19 +38,29 @@ import (
 // context.DeadlineExceeded).
 var ErrCancelled = errors.New("noise: analysis cancelled")
 
-// cancelErr builds the typed cancellation error for a done context.
-// (It sits on the cancellation path of the Analyze* entry points,
-// none of which are hotpath roots, so it needs no coldpath barrier.)
+// cancelErr builds the typed cancellation error for a done context. It
+// runs at most once per analysis, on the cancellation path of the
+// Analyze* entry points. Analyze, a hotpath root, reaches it through
+// AnalyzeParallel, so the coldpath barrier keeps its fmt call out of the
+// hot-path check.
+//
+//noisevet:coldpath
 func cancelErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCancelled, ctx.Err())
 }
 
 // Budget bounds the resources one analysis may consume. The zero value
-// imposes no limits. Budgets degrade gracefully rather than erroring:
-// event and byte caps truncate ingestion (the report is marked
+// imposes no limits of its own. Budgets degrade gracefully rather than
+// erroring: event and byte caps truncate ingestion (the report is marked
 // Incomplete and covers the consumed prefix exactly), and the
 // interruption cap reservoir-samples the retained Interruption records
 // while keeping every aggregate total exact.
+//
+// Every analysis also stops at math.MaxInt32 events, the engine's
+// ceiling (about 86 GB of records): its control stream, span records
+// and interruption index count events, exits and spans in int32. A
+// longer input is analysed as its prefix and marked Incomplete, like any
+// budgeted run.
 type Budget struct {
 	// MaxEvents caps the number of event records ingested; zero means
 	// unlimited. Ingestion stops after the cap and the report is marked
@@ -67,10 +77,10 @@ type Budget struct {
 	MaxInterruptions int
 }
 
-// eventCap folds the event and byte limits into one record count
-// (math.MaxUint64 when unlimited).
+// eventCap folds the event and byte limits and the engine's event
+// ceiling into one record count (math.MaxInt32 when unlimited).
 func (b Budget) eventCap() uint64 {
-	limit := uint64(math.MaxUint64)
+	limit := uint64(math.MaxInt32)
 	if b.MaxEvents > 0 && b.MaxEvents < limit {
 		limit = b.MaxEvents
 	}

@@ -104,6 +104,10 @@ func (f Filter) Apply(tr *trace.Trace) *trace.Trace {
 // remapping each input's CPUs onto a disjoint range and merging the
 // inputs by (TS, CPU) with trace.MergeStreams; an input that is not in
 // that order is sorted first. The inputs must share a time base.
+//
+// An event whose CPU lies outside its own input's [0, CPUs) gets CPU -1
+// in the merged trace, never a CPU of another input's range, so every
+// analysis drops it and counts it in Dropped, as on that input alone.
 func Merge(traces ...*trace.Trace) *trace.Trace {
 	out := &trace.Trace{}
 	streams := make([][]trace.Event, len(traces))
@@ -111,7 +115,11 @@ func Merge(traces ...*trace.Trace) *trace.Trace {
 	for i, tr := range traces {
 		streams[i] = make([]trace.Event, len(tr.Events))
 		for j, ev := range tr.Events {
-			ev.CPU += base
+			if ev.CPU < 0 || int(ev.CPU) >= tr.CPUs {
+				ev.CPU = -1
+			} else {
+				ev.CPU += base
+			}
 			streams[i][j] = ev
 		}
 		out.CPUs += tr.CPUs
@@ -160,7 +168,14 @@ func (s Stats) Render(w io.Writer) error {
 	for id := range s.PerID {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return s.PerID[ids[i]] > s.PerID[ids[j]] })
+	// By count, descending; equal counts by ID, so the output is a
+	// function of the trace, not of map order.
+	sort.Slice(ids, func(i, j int) bool {
+		if ci, cj := s.PerID[ids[i]], s.PerID[ids[j]]; ci != cj {
+			return ci > cj
+		}
+		return ids[i] < ids[j]
+	})
 	for _, id := range ids {
 		fmt.Fprintf(bw, "  %-22s %8d\n", id, s.PerID[id])
 	}

@@ -161,9 +161,10 @@ fi
 rm -rf "$smokedir"
 
 step "pipeline benchmark smoke"
-# A small-trace run of the analysis-pipeline benchmark: exercises the
-# sequential baseline, the sharded raw path at each shard count, and
-# the bit-identity check (the run aborts if any report diverges). The
+# A small-trace run of the analysis-pipeline benchmark: exercises its
+# "sequential" row (noise.Analyze, the one-shard engine), the sharded
+# raw path at each shard count, and the bit-identity check (the run
+# aborts if any report diverges). The
 # JSON lands in a scratch file — committed baselines in results/ are
 # regenerated deliberately, not by CI.
 go run ./cmd/noisebench -pipeline -pipeline-events 100000 -pipeline-reps 1 \
