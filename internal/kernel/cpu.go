@@ -29,8 +29,11 @@ type CPU struct {
 	node *Node
 	rng  *sim.RNG
 
-	stack       []*activity
-	pendingSoft []int64 // raised softirq vectors awaiting processing
+	// stack holds the activities by value; a pointer into it (top) is
+	// valid only until the next push.
+	stack       []activity
+	finish      sim.Handler // finishTop, bound once so scheduleExit allocates no closure
+	pendingSoft []int64     // raised softirq vectors awaiting processing
 
 	current *Task
 	runq    []*Task
@@ -105,27 +108,29 @@ func (c *CPU) push(now sim.Time, entry, exit trace.ID, vec int64, dur sim.Durati
 		}
 		top.exitRef.Cancel()
 	}
-	act := &activity{entry: entry, exit: exit, vec: vec, onDone: onDone}
-	c.stack = append(c.stack, act)
+	c.stack = append(c.stack, activity{entry: entry, exit: exit, vec: vec, onDone: onDone})
 	c.node.emit(trace.Event{TS: int64(now), CPU: int32(c.ID), ID: entry, Arg1: vec, Arg2: c.currentPID()})
-	act.scheduleExit(c, now+dur)
+	c.top().scheduleExit(c, now+dur)
 }
 
 // scheduleExit arranges the activity to finish at time at.
 func (a *activity) scheduleExit(c *CPU, at sim.Time) {
 	a.exitTime = at
-	a.exitRef = c.node.eng.At(at, sim.PrioKernel, func(now sim.Time) { c.finishTop(now) })
+	a.exitRef = c.node.eng.At(at, sim.PrioKernel, c.finish)
 }
 
 // finishTop completes the top-of-stack activity: emits its exit event,
 // resumes the activity below (or processes pending softirqs / deferred
 // work when the stack empties).
 func (c *CPU) finishTop(now sim.Time) {
-	top := c.top()
-	if top == nil {
+	if len(c.stack) == 0 {
 		panic(fmt.Sprintf("kernel: cpu%d finishTop on empty stack", c.ID))
 	}
 	c.account(now)
+	// Copy the activity out before popping it: onDone may push into the
+	// slot it leaves.
+	top := c.stack[len(c.stack)-1]
+	c.stack[len(c.stack)-1] = activity{}
 	c.stack = c.stack[:len(c.stack)-1]
 	c.node.emit(trace.Event{TS: int64(now), CPU: int32(c.ID), ID: top.exit, Arg1: top.vec, Arg2: c.currentPID()})
 	depth := len(c.stack)
@@ -241,11 +246,13 @@ func (c *CPU) deferToKernelIdle(now sim.Time, fn func(now sim.Time)) {
 	c.deferred = append(c.deferred, fn)
 }
 
+// top returns the innermost activity, nil when the stack is empty. The
+// pointer is into the stack and is invalidated by the next push.
 func (c *CPU) top() *activity {
 	if len(c.stack) == 0 {
 		return nil
 	}
-	return c.stack[len(c.stack)-1]
+	return &c.stack[len(c.stack)-1]
 }
 
 func (c *CPU) currentPID() int64 {

@@ -46,7 +46,9 @@ func NewNode(cfg Config, session *trace.Session) *Node {
 	}
 	n.cpus = make([]*CPU, cfg.CPUs)
 	for i := range n.cpus {
-		n.cpus[i] = &CPU{ID: i, node: n, rng: n.rng.Split()}
+		c := &CPU{ID: i, node: n, rng: n.rng.Split()}
+		c.finish = c.finishTop
+		n.cpus[i] = c
 	}
 	n.nic = newNIC(n)
 	n.rpciod = n.NewDaemonTask("rpciod", KindKernelDaemon, 0)

@@ -54,16 +54,16 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event. It reports false when
 // the queue is empty.
 func (e *Engine) Step() bool {
-	ev := e.queue.Pop()
-	if ev == nil {
+	at, fn, ok := e.queue.Pop()
+	if !ok {
 		return false
 	}
-	if ev.at < e.now {
+	if at < e.now {
 		panic("sim: event queue produced time travel")
 	}
-	e.now = ev.at
+	e.now = at
 	e.fired++
-	ev.fn(e.now)
+	fn(e.now)
 	return true
 }
 

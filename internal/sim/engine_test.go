@@ -243,3 +243,60 @@ func TestCancelledHeadDoesNotEatNextEvent(t *testing.T) {
 		t.Fatal("valid event after cancelled head never fired")
 	}
 }
+
+// A handle kept after its event fired or was drained must not reach the
+// event that reuses the storage: Cancel and Pending on it do nothing,
+// and the new event still fires.
+func TestStaleEventRefAfterReuse(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		end  func(e *Engine, ref EventRef) // retires ref's event
+	}{
+		{"fired", func(e *Engine, _ EventRef) { e.RunUntilIdle() }},
+		{"cancelled and drained", func(e *Engine, ref EventRef) { ref.Cancel(); e.RunUntilIdle() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			stale := e.At(10, PrioKernel, func(Time) {})
+			c.end(e, stale)
+			fired := false
+			fresh := e.At(20, PrioKernel, func(Time) { fired = true })
+			if fresh.ev != stale.ev {
+				t.Fatal("the queue did not reuse the retired event's storage")
+			}
+			if stale.Pending() {
+				t.Fatal("stale handle reports the reused event pending")
+			}
+			if stale.Cancel() {
+				t.Fatal("stale handle cancelled the reused event")
+			}
+			if !fresh.Pending() {
+				t.Fatal("new event not pending")
+			}
+			e.RunUntilIdle()
+			if !fired {
+				t.Fatal("the event reusing a stale handle's storage did not fire")
+			}
+		})
+	}
+}
+
+// Scheduling and firing in steady state allocates nothing once the
+// handler is bound: fired and drained events are recycled.
+func TestScheduleAndFireAllocFree(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	h := Handler(func(Time) { n++ })
+	allocs := testing.AllocsPerRun(1000, func() {
+		dead := e.After(2, PrioKernel, h)
+		e.After(1, PrioTask, h)
+		dead.Cancel()
+		e.Run(e.Now() + 2)
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule, cancel and fire allocated %v times per run, want 0", allocs)
+	}
+	if n != 1001 {
+		t.Fatalf("handler fired %d times, want 1001", n)
+	}
+}

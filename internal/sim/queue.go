@@ -5,24 +5,33 @@ type Handler func(now Time)
 
 // event is an entry in the queue. Events with equal time fire in
 // (priority, seq) order so that simulation results are independent of heap
-// internals.
+// internals. A fired or drained event goes back on the queue's free list
+// and is reused by a later Push; gen counts those reuses, so a handle
+// taken before one no longer names the event.
 type event struct {
 	at       Time
 	priority int
 	seq      uint64
+	gen      uint64
 	fn       Handler
 	canceled bool
 	index    int // position in the heap, -1 when popped
 }
 
 // EventRef is an opaque handle to a scheduled event, usable to cancel it.
-type EventRef struct{ ev *event }
+// It stays valid after the event fires or is drained: Cancel and Pending
+// on such a stale handle do nothing, even once the queue has reused the
+// event's storage for another Push.
+type EventRef struct {
+	ev  *event
+	gen uint64
+}
 
 // Cancel marks the event so that it will not fire. Cancelling an already
 // fired or already cancelled event is a no-op. It reports whether the
 // event was still pending.
 func (r EventRef) Cancel() bool {
-	if r.ev == nil || r.ev.canceled || r.ev.index == -1 {
+	if !r.Pending() {
 		return false
 	}
 	r.ev.canceled = true
@@ -31,13 +40,15 @@ func (r EventRef) Cancel() bool {
 
 // Pending reports whether the event is still scheduled to fire.
 func (r EventRef) Pending() bool {
-	return r.ev != nil && !r.ev.canceled && r.ev.index != -1
+	return r.ev != nil && r.ev.gen == r.gen && !r.ev.canceled && r.ev.index != -1
 }
 
 // Queue is a stable min-heap of timed events. The zero value is ready to
-// use.
+// use. Popped events are recycled through a free list, so a simulation
+// in steady state schedules without allocating.
 type Queue struct {
 	heap []*event
+	free []*event
 	seq  uint64
 }
 
@@ -49,35 +60,50 @@ func (q *Queue) Len() int { return len(q.heap) }
 // first among events at the same instant).
 func (q *Queue) Push(at Time, priority int, fn Handler) EventRef {
 	q.seq++
-	ev := &event{at: at, priority: priority, seq: q.seq, fn: fn}
+	var ev *event
+	if n := len(q.free); n > 0 {
+		ev = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at, ev.priority, ev.seq, ev.fn, ev.canceled = at, priority, q.seq, fn, false
 	q.heap = append(q.heap, ev)
 	ev.index = len(q.heap) - 1
 	q.up(ev.index)
-	return EventRef{ev}
+	return EventRef{ev, ev.gen}
 }
 
-// popHead removes and returns the heap head regardless of cancellation.
-func (q *Queue) popHead() *event {
+// popHead removes the heap head regardless of cancellation, recycles it
+// and returns its time, handler and whether it was cancelled.
+func (q *Queue) popHead() (Time, Handler, bool) {
 	ev := q.heap[0]
 	n := len(q.heap) - 1
 	q.swap(0, n)
+	q.heap[n] = nil
 	q.heap = q.heap[:n]
-	ev.index = -1
 	if n > 0 {
 		q.down(0)
 	}
-	return ev
+	at, fn, canceled := ev.at, ev.fn, ev.canceled
+	ev.index = -1
+	ev.gen++
+	ev.fn = nil
+	q.free = append(q.free, ev)
+	return at, fn, canceled
 }
 
-// Pop removes and returns the earliest non-cancelled event, or nil if the
-// queue is empty.
-func (q *Queue) Pop() *event {
+// Pop removes the earliest non-cancelled event and returns its time and
+// handler; ok is false if the queue holds no pending events. The event
+// is recycled before its handler runs, so every EventRef to it is stale
+// by then.
+func (q *Queue) Pop() (at Time, fn Handler, ok bool) {
 	for len(q.heap) > 0 {
-		if ev := q.popHead(); !ev.canceled {
-			return ev
+		if at, fn, canceled := q.popHead(); !canceled {
+			return at, fn, true
 		}
 	}
-	return nil
+	return 0, nil, false
 }
 
 // PeekTime returns the firing time of the earliest pending event. The

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -26,21 +27,56 @@ func stableOracle(streams [][]Event) []Event {
 	return all
 }
 
-// cloneStreams deep-copies streams, since MergeStreams may sort an
-// out-of-order stream in place.
-func cloneStreams(streams [][]Event) [][]Event {
-	out := make([][]Event, len(streams))
+// cloneChunks deep-copies chunked streams.
+func cloneChunks(streams [][][]Event) [][][]Event {
+	out := make([][][]Event, len(streams))
 	for i, s := range streams {
-		out[i] = append([]Event(nil), s...)
+		for _, c := range s {
+			out[i] = append(out[i], append([]Event{}, c...))
+		}
 	}
 	return out
 }
 
-// checkMerge compares MergeStreams with the oracle on a copy of streams.
+// sameChunks reports whether a and b hold the same chunks of the same
+// events.
+func sameChunks(a, b [][][]Event) bool {
+	return slices.EqualFunc(a, b, func(x, y [][]Event) bool {
+		return slices.EqualFunc(x, y, slices.Equal[[]Event])
+	})
+}
+
+// oneChunk holds each stream as a single chunk.
+func oneChunk(streams [][]Event) [][][]Event {
+	out := make([][][]Event, len(streams))
+	for i, s := range streams {
+		out[i] = [][]Event{s}
+	}
+	return out
+}
+
+// checkMerge compares MergeStreams with the oracle on streams, each held
+// as one chunk.
 func checkMerge(t *testing.T, name string, streams [][]Event) {
 	t.Helper()
-	want := stableOracle(streams)
-	got := MergeStreams(cloneStreams(streams))
+	checkChunkedMerge(t, name, oneChunk(streams))
+}
+
+// checkChunkedMerge compares MergeStreams with the oracle on chunked
+// streams, which the oracle reads as each stream's concatenation, and
+// checks that the merge left the streams as they were.
+func checkChunkedMerge(t *testing.T, name string, streams [][][]Event) {
+	t.Helper()
+	flat := make([][]Event, len(streams))
+	for i, s := range streams {
+		flat[i] = slices.Concat(s...)
+	}
+	want := stableOracle(flat)
+	before := cloneChunks(streams)
+	got := MergeStreams(streams)
+	if !sameChunks(streams, before) {
+		t.Fatalf("%s: MergeStreams modified its input", name)
+	}
 	if len(got) != cap(got) {
 		t.Fatalf("%s: merged slice has len %d, cap %d; want exact size", name, len(got), cap(got))
 	}
@@ -94,34 +130,69 @@ func genStreams(rng *rand.Rand, k, maxLen int, shape int) [][]Event {
 	return streams
 }
 
+// splitChunks cuts each stream into chunks at random points, with empty
+// chunks among them, as a collector holds a CPU's sub-buffers. With
+// invert set it then swaps two non-empty chunks of each stream that has
+// them, so every chunk stays in order but a boundary between two chunks
+// may not be.
+func splitChunks(rng *rand.Rand, streams [][]Event, invert bool) [][][]Event {
+	out := make([][][]Event, len(streams))
+	for i, s := range streams {
+		for len(s) > 0 || rng.IntN(3) == 0 {
+			n := min(rng.IntN(8), len(s))
+			out[i] = append(out[i], s[:n:n])
+			s = s[n:]
+		}
+		var full []int
+		for j, c := range out[i] {
+			if len(c) > 0 {
+				full = append(full, j)
+			}
+		}
+		if invert && len(full) > 1 {
+			a, b := full[0], full[len(full)-1]
+			out[i][a], out[i][b] = out[i][b], out[i][a]
+		}
+	}
+	return out
+}
+
 // TestMergeStreamsMatchesStableSort is the property behind every trace
 // the tracer collects: merging the streams equals a stable sort of their
 // concatenation by (TS, CPU). Trials cycle through stream counts (k = 1
-// and k = 1024 included) and four shapes: one CPU per stream, several
-// CPUs per stream, out-of-range CPU labels, and a forced inversion.
+// and k = 1024 included) and six shapes: one CPU per stream, several
+// CPUs per stream, out-of-range CPU labels, a forced inversion, and two
+// chunked ones, where each stream is cut into chunks at random points
+// with empty chunks among them, in order or with two chunks swapped.
 func TestMergeStreamsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 1))
 	ks := []int{1, 2, 3, 8, 17, 1024}
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		k := ks[trial%len(ks)]
-		shape := (trial / len(ks)) % 4
+		shape := (trial / len(ks)) % 6
 		maxLen := 60
 		if k == 1024 {
 			maxLen = 6
 		}
-		streams := genStreams(rng, k, maxLen, shape)
-		checkMerge(t, fmt.Sprintf("trial %d (k=%d shape=%d)", trial, k, shape), streams)
+		name := fmt.Sprintf("trial %d (k=%d shape=%d)", trial, k, shape)
+		if shape < 4 {
+			checkMerge(t, name, genStreams(rng, k, maxLen, shape))
+			continue
+		}
+		streams := genStreams(rng, k, maxLen, 0)
+		checkChunkedMerge(t, name, splitChunks(rng, streams, shape == 5))
 	}
 }
 
 // TestMergeStreamsEdges pins the cases the random trials reach only by
-// chance: no streams, only empty streams, and a tie across streams
-// whose stream order and CPU order disagree.
+// chance: no streams, only empty streams or chunks, a tie across streams
+// whose stream order and CPU order disagree, and an inversion only a
+// chunk boundary shows.
 func TestMergeStreamsEdges(t *testing.T) {
 	if got := MergeStreams(nil); got != nil {
 		t.Fatalf("no streams merged to %v, want nil", got)
 	}
-	if got := MergeStreams([][]Event{nil, {}, nil}); got != nil {
+	if got := MergeStreams(oneChunk([][]Event{nil, {}, nil})); got != nil {
 		t.Fatalf("empty streams merged to %v, want nil", got)
 	}
 	checkMerge(t, "cpu order against stream order", [][]Event{
@@ -131,6 +202,15 @@ func TestMergeStreamsEdges(t *testing.T) {
 	})
 	checkMerge(t, "inverted single stream", [][]Event{
 		{{TS: 9, CPU: 0, Arg3: 0}, {TS: 2, CPU: 0, Arg3: 1}, {TS: 2, CPU: 0, Arg3: 2}},
+	})
+	if got := MergeStreams([][][]Event{nil, {nil, {}}, {}}); got != nil {
+		t.Fatalf("empty chunks merged to %v, want nil", got)
+	}
+	// Every chunk is in order; only the boundary after an empty chunk
+	// is not, so a sortedness check that skips boundaries misses it.
+	checkChunkedMerge(t, "inversion across a chunk boundary", [][][]Event{
+		{{{TS: 5, CPU: 0, Arg3: 0}, {TS: 6, CPU: 0, Arg3: 1}}, {}, {{TS: 2, CPU: 0, Arg3: 2}, {TS: 3, CPU: 0, Arg3: 3}}},
+		{{{TS: 4, CPU: 1, Arg3: 4}}, {{TS: 7, CPU: 1, Arg3: 5}}},
 	})
 }
 
@@ -173,7 +253,7 @@ func TestCollectorMatchesStableSort(t *testing.T) {
 func ringContents(r *Ring) []Event {
 	var out []Event
 	for pos := r.readPos.Load(); pos < r.writePos.Load(); pos++ {
-		out = append(out, r.slots[pos&r.mask])
+		out = append(out, r.slot(pos))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestRingSingleWriterRoundTrip(t *testing.T) {
 			t.Fatalf("write %d rejected", i)
 		}
 	}
-	got := r.Drain(nil)
+	got := slices.Concat(r.Take(nil)...)
 	if len(got) != 16 {
 		t.Fatalf("drained %d events, want 16", len(got))
 	}
@@ -37,7 +38,7 @@ func TestRingDiscardWhenFull(t *testing.T) {
 		t.Fatalf("lost %d, want 1", r.Lost())
 	}
 	// Draining makes room again.
-	got := r.Drain(nil)
+	got := slices.Concat(r.Take(nil)...)
 	if len(got) != 8 {
 		t.Fatalf("drained %d", len(got))
 	}
@@ -51,24 +52,26 @@ func TestRingPartialSubBufNotReadable(t *testing.T) {
 	for i := 0; i < 3; i++ { // less than one sub-buffer
 		r.Write(Event{TS: int64(i)})
 	}
-	if got := r.Drain(nil); len(got) != 0 {
-		t.Fatalf("drained %d events from partial sub-buffer", len(got))
+	if got := r.Take(nil); len(got) != 0 {
+		t.Fatalf("drained %d sub-buffers from partial sub-buffer", len(got))
 	}
 	r.Stop()
-	got := r.Flush(nil)
+	got := slices.Concat(r.TakeRest(nil)...)
 	if len(got) != 3 {
 		t.Fatalf("flush returned %d events, want 3", len(got))
 	}
 }
 
+// TestRingFlushBeforeStopPanics checks that flushing a ring, taking what
+// it still holds with TakeRest, panics before Stop.
 func TestRingFlushBeforeStopPanics(t *testing.T) {
 	r := NewRing(2, 4, Discard)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Flush before Stop did not panic")
+			t.Fatal("TakeRest before Stop did not panic")
 		}
 	}()
-	r.Flush(nil)
+	r.TakeRest(nil)
 }
 
 func TestRingBadGeometryPanics(t *testing.T) {
@@ -144,15 +147,15 @@ func TestRingConcurrentWritersAndReader(t *testing.T) {
 	r := NewRing(16, 256, Discard)
 	doneWriting := make(chan struct{})
 
-	var collected []Event
+	var taken [][]Event
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for {
-			collected = r.Drain(collected)
+			taken = r.Take(taken)
 			select {
 			case <-doneWriting:
-				collected = r.Drain(collected)
+				taken = r.Take(taken)
 				return
 			default:
 			}
@@ -176,7 +179,7 @@ func TestRingConcurrentWritersAndReader(t *testing.T) {
 
 	// Flush the tail.
 	r.Stop()
-	collected = r.Flush(collected)
+	collected := slices.Concat(r.TakeRest(taken)...)
 
 	if uint64(len(collected))+r.Lost() != writers*perWriter {
 		t.Fatalf("collected %d + lost %d != %d", len(collected), r.Lost(), writers*perWriter)
@@ -211,5 +214,81 @@ func TestMutexRing(t *testing.T) {
 	got := m.Drain(nil)
 	if len(got) != 4 {
 		t.Fatalf("drained %d", len(got))
+	}
+}
+
+// TestRingTakeOwnership races writers against a consumer that takes
+// sub-buffers from a small ring, keeping a copy of each made when it was
+// taken. Every event must be taken exactly once or counted lost, each
+// writer's order must be kept, and no taken sub-buffer may change
+// afterwards: the ring must never write into storage it handed over.
+func TestRingTakeOwnership(t *testing.T) {
+	const writers, perWriter = 4, 20000
+	r := NewRing(4, 64, Discard)
+	var taken, copies [][]Event
+	keep := func(from int) {
+		for _, b := range taken[from:] {
+			copies = append(copies, slices.Clone(b))
+		}
+	}
+	doneWriting := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			n := len(taken)
+			taken = r.Take(taken)
+			keep(n)
+			select {
+			case <-doneWriting:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Write(Event{TS: int64(i), Arg1: int64(w), Arg2: int64(i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(doneWriting)
+	<-done
+	r.Stop()
+	n := len(taken)
+	taken = r.TakeRest(taken)
+	keep(n)
+
+	for i := range taken {
+		if !slices.Equal(taken[i], copies[i]) {
+			t.Fatalf("sub-buffer %d of %d changed after it was taken", i, len(taken))
+		}
+	}
+	seen := make([][]bool, writers)
+	last := make([]int64, writers)
+	for w := range seen {
+		seen[w], last[w] = make([]bool, perWriter), -1
+	}
+	got := 0
+	for _, b := range taken {
+		for _, ev := range b {
+			w, i := ev.Arg1, ev.Arg2
+			if seen[w][i] {
+				t.Fatalf("writer %d event %d taken twice", w, i)
+			}
+			if i <= last[w] {
+				t.Fatalf("writer %d sequence went %d -> %d", w, last[w], i)
+			}
+			seen[w][i], last[w] = true, i
+			got++
+		}
+	}
+	if uint64(got)+r.Lost() != writers*perWriter {
+		t.Fatalf("taken %d + lost %d != %d", got, r.Lost(), writers*perWriter)
 	}
 }

@@ -182,14 +182,8 @@ func (s *Session) Lost() uint64 {
 	return n
 }
 
-// DrainCPU consumes fully committed sub-buffers of one CPU (Discard
-// mode), for use by a consumer daemon running concurrently with tracing.
-func (s *Session) DrainCPU(cpu int, dst []Event) []Event {
-	return s.rings[cpu].Drain(dst)
-}
-
 // Collect stops the session and returns the complete trace, as a
-// Collector that never drained would: each CPU's ring is flushed in
+// Collector that never drained would: each CPU's ring is taken whole in
 // emission order and the per-CPU streams are merged by (TS, CPU) with
 // MergeStreams, so records equal in both keep their emission order.
 func (s *Session) Collect() *Trace { return NewCollector(s).Finalize() }

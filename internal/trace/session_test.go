@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -342,5 +344,58 @@ func TestSessionAccessors(t *testing.T) {
 	ev := Event{TS: 5, CPU: 1, ID: EvSchedSwitch, Arg1: 2, Arg2: 3, Arg3: 4}
 	if got := ev.String(); got == "" {
 		t.Fatal("empty event string")
+	}
+}
+
+// TestCollectorAllocatesWhatItKeeps bounds what a single-writer session
+// allocates from its first Emit through Finalize: the sub-buffers it
+// wrote, each allocated on first write and taken without a copy, plus
+// the merged slice, plus a little slack for the lists and the Trace. A
+// ring zeroed up front or a copy on the way to the merge exceeds it.
+func TestCollectorAllocatesWhatItKeeps(t *testing.T) {
+	const cpus, subBufLen, perCPU = 4, 1024, 25_000
+	s := NewSession(Config{CPUs: cpus, SubBufs: 8, SubBufLen: subBufLen})
+	s.Start()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := NewCollector(s)
+	for i := 0; i < cpus*perCPU; i++ {
+		s.Emit(Event{TS: int64(i / cpus), CPU: int32(i % cpus), ID: EvIRQEntry})
+		if i%2048 == 2047 {
+			c.Drain()
+		}
+	}
+	tr := c.Finalize()
+	runtime.ReadMemStats(&after)
+	if tr.Lost != 0 || len(tr.Events) != cpus*perCPU {
+		t.Fatalf("collected %d events, lost %d; want %d, none lost", len(tr.Events), tr.Lost, cpus*perCPU)
+	}
+	size := reflect.TypeOf(Event{}).Size()
+	subBufs := uint64(cpus * ((perCPU + subBufLen - 1) / subBufLen))
+	const slack = 64 << 10
+	bound := (subBufs*subBufLen+uint64(len(tr.Events)))*uint64(size) + slack
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("Emit through Finalize allocated %d bytes, want at most %d (%d sub-buffers + merged slice + %d slack)", got, bound, subBufs, slack)
+	}
+}
+
+// An Overwrite session keeps each CPU's newest intact sub-buffers, and
+// Collect returns them, as Snapshot reads them, merged by (TS, CPU).
+func TestCollectOverwriteSession(t *testing.T) {
+	s := NewSession(Config{CPUs: 2, SubBufs: 2, SubBufLen: 4, Mode: Overwrite})
+	s.Start()
+	for i := 0; i < 20; i++ {
+		s.Emit(Event{TS: int64(i), CPU: int32(i % 2), ID: EvIRQEntry})
+	}
+	// Each CPU wrote 10 events into 8 slots; its oldest sub-buffer is
+	// partly overwritten, so positions 4..9 survive: TS 8..19 in all.
+	tr := s.Collect()
+	if len(tr.Events) != 12 {
+		t.Fatalf("collected %d events, want 12", len(tr.Events))
+	}
+	for i, ev := range tr.Events {
+		if ev.TS != int64(8+i) {
+			t.Fatalf("event %d has TS %d, want %d", i, ev.TS, 8+i)
+		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // file allows random access (≤ 0 means GOMAXPROCS, 1 forces the
 // sequential reader). Compressed traces decode sequentially regardless:
 // their varint encoding has no record boundaries to split on.
-// Cancelling ctx aborts a parallel decode at the next read chunk with
-// an error that maps to ExitCancelled.
+// Cancelling ctx aborts any decode, parallel or sequential, at its next
+// read with an error that maps to ExitCancelled.
 func Load(ctx context.Context, path string, workers int) (*trace.Trace, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -41,9 +41,29 @@ func Load(ctx context.Context, path string, workers int) (*trace.Trace, error) {
 			return nil, err
 		}
 	}
-	tr, err := trace.ReadAny(f)
+	tr, err := trace.ReadAny(ctxReader{ctx, f})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return tr, nil
+}
+
+// ctxReader reads f until ctx is done, so a sequential decode stops at
+// its next read once ctx is cancelled. Seek passes through, so the
+// decoder still measures the file's size and checks the header's event
+// count against it.
+type ctxReader struct {
+	ctx context.Context
+	f   *os.File
+}
+
+func (r ctxReader) Read(p []byte) (int, error) {
+	if err := r.ctx.Err(); err != nil {
+		return 0, fmt.Errorf("%w: %w", trace.ErrCancelled, err)
+	}
+	return r.f.Read(p)
+}
+
+func (r ctxReader) Seek(offset int64, whence int) (int64, error) {
+	return r.f.Seek(offset, whence)
 }

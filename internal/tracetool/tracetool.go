@@ -110,18 +110,19 @@ func (f Filter) Apply(tr *trace.Trace) *trace.Trace {
 // analysis drops it and counts it in Dropped, as on that input alone.
 func Merge(traces ...*trace.Trace) *trace.Trace {
 	out := &trace.Trace{}
-	streams := make([][]trace.Event, len(traces))
+	streams := make([][][]trace.Event, len(traces))
 	base := int32(0)
 	for i, tr := range traces {
-		streams[i] = make([]trace.Event, len(tr.Events))
+		events := make([]trace.Event, len(tr.Events))
 		for j, ev := range tr.Events {
 			if ev.CPU < 0 || int(ev.CPU) >= tr.CPUs {
 				ev.CPU = -1
 			} else {
 				ev.CPU += base
 			}
-			streams[i][j] = ev
+			events[j] = ev
 		}
+		streams[i] = [][]trace.Event{events}
 		out.CPUs += tr.CPUs
 		out.Lost += tr.Lost
 		// Process tables concatenate; pids may collide across nodes

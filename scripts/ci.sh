@@ -84,6 +84,13 @@ go run ./cmd/noisevet -only doccomment ./...
 step "go test -race"
 go test -race ./...
 
+step "tracer hand-off (ring, collector, merge; race-instrumented, 10 runs)"
+# Writers race a consumer that takes sub-buffers by ownership; a lost
+# or doubled event, a reordered writer, or a write into a taken
+# sub-buffer fails these tests, and under -race the last is also a data
+# race. One run can miss an interleaving, so they run ten times.
+go test -race -count=10 -run 'TestRing|TestCollect|TestMerge' ./internal/trace
+
 step "corruption suite (trace fault injector, race-instrumented)"
 # The deterministic fault injector sweeps every mutation over every
 # encoding and feeds the result to every reader entry point; any panic
@@ -145,13 +152,21 @@ smokedir="$(mktemp -d)"
 go build -o "$smokedir/" ./cmd/lttng-noise ./cmd/noisereport ./cmd/noisebench
 "$smokedir/lttng-noise" -app AMG -duration 30s -report=false \
     -trace "$smokedir/smoke.lttn"
-rc=0
-timeout 60 "$smokedir/noisereport" -parallel 4 -timeout 1ms \
-    "$smokedir/smoke.lttn" >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 3 ]; then
-    echo "cancellation smoke: noisereport -timeout 1ms exited $rc, want 3" >&2
-    exit 1
-fi
+"$smokedir/lttng-noise" -app AMG -duration 30s -report=false -compress \
+    -trace "$smokedir/smoke.lttnz"
+# The parallel decode, the sequential one (-parallel 1) and the
+# compressed one (sequential at any -parallel) must each stop.
+noisereport_cancels() {
+    rc=0
+    timeout 60 "$smokedir/noisereport" -timeout 1ms "$@" >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 3 ]; then
+        echo "cancellation smoke: noisereport -timeout 1ms $* exited $rc, want 3" >&2
+        exit 1
+    fi
+}
+noisereport_cancels -parallel 4 "$smokedir/smoke.lttn"
+noisereport_cancels -parallel 1 "$smokedir/smoke.lttn"
+noisereport_cancels "$smokedir/smoke.lttnz"
 rc=0
 timeout 60 "$smokedir/noisebench" -exp ext1 -timeout 1ms >/dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 3 ]; then
@@ -159,6 +174,14 @@ if [ "$rc" -ne 3 ]; then
     exit 1
 fi
 rm -rf "$smokedir"
+
+step "golden output (noisebench text + CSVs)"
+# Every paper experiment at its default size, compared byte for byte
+# with results/noisebench_full.txt and results/data/: the only check
+# that reaches the mitigation, cluster, FTQ and co-location
+# simulations end to end. A change that moves a paper number
+# regenerates it with scripts/golden.sh -update.
+scripts/golden.sh
 
 step "pipeline benchmark smoke"
 # A small-trace run of the analysis-pipeline benchmark: exercises its
