@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"time"
@@ -85,9 +86,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// safeIngest runs ing.Ingest and turns a panic inside it into an error,
+// logged with the tenant and the panic value, so a trace that trips an
+// engine bug costs that trace and not the daemon. A panic on one of the
+// engine's own worker goroutines cannot be recovered here and still
+// stops the process.
+func safeIngest(ctx context.Context, ing Ingestor, id string, d *trace.Decoder) (res router.Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("receiver: tenant %s: ingest panicked: %v", id, v)
+			res, err = router.Result{Tenant: id}, fmt.Errorf("receiver: ingest panicked: %v", v)
+		}
+	}()
+	return ing.Ingest(ctx, id, d)
+}
+
 // IngestHandler serves POST /v1/ingest?tenant=<id>: the request body is
-// one LTTNOISE trace (raw or compressed), analysed synchronously; the
-// answer is the stream's Result as JSON.
+// one LTTNOISE trace in the fixed format (a compressed LTTNOISZ body is
+// answered 400), analysed synchronously; the answer is the stream's
+// Result as JSON.
 func IngestHandler(ing Ingestor) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -104,7 +121,7 @@ func IngestHandler(ing Ingestor) http.Handler {
 			writeJSON(w, statusOf(err), ingestResponse{Result: router.Result{Tenant: id}, Error: err.Error()})
 			return
 		}
-		res, err := ing.Ingest(r.Context(), id, d)
+		res, err := safeIngest(r.Context(), ing, id, d)
 		if err != nil {
 			writeJSON(w, statusOf(err), ingestResponse{Result: res, Error: err.Error()})
 			return

@@ -15,20 +15,26 @@ package receiver
 //	client closes (or half-closes) when done; EOF between traces is
 //	the clean end of the connection.
 //
-// The framing layer is independent of trace content, so a trace-level
-// failure (corrupt payload, evicted tenant, budget truncation) only
-// costs that trace: the pump discards the remaining frames of the
-// current trace to stay in sync and the connection keeps going. Only
-// framing-level damage (oversized frame, short read, socket error)
-// ends the connection.
+// Each trace is analysed on the connection's own goroutine: the
+// connection's Decoder reads the frame payloads straight off the socket
+// through a frameReader, and once the analysis returns the frameReader
+// drains whatever it left unread up to the end frame. The framing layer
+// is independent of trace content, so a trace-level failure (corrupt
+// payload, evicted tenant, budget truncation, a panicking analysis)
+// only costs that trace and the connection keeps going. Only
+// framing-level damage (oversized frame, short read, socket error) ends
+// the connection.
 //
-// The per-connection Decoder is Reset between traces, so the header
-// scratch, bufio reader and event staging buffer are reused for the
-// connection's whole lifetime — allocation per trace stays flat.
+// The Decoder is Reset between traces and the frameReader re-armed, so
+// the header scratch, bufio reader and event staging buffer are reused
+// for the connection's whole lifetime, and the analysis takes its
+// working buffers from the noise package's pools: what a trace
+// allocates is essentially its Report.
 
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -53,17 +59,10 @@ const (
 	// any sane chunking, small enough that a hostile length cannot
 	// commit the server to gigabytes.
 	maxFrame = 16 << 20
-	// copyChunk is the pump's staging buffer size.
-	copyChunk = 32 << 10
 )
 
-// errIngestDone is the pipe-close cause when the analysis stopped
-// reading before the trace's frames ran out — expected under budget
-// truncation; the pump switches to discarding.
-var errIngestDone = errors.New("receiver: ingest finished early")
-
 // protoErrf builds a connection-fatal protocol error. The hot frame
-// pump only reaches it through the errFrame* coldpath barriers.
+// reader only reaches it through the errFrame* coldpath barriers.
 func protoErrf(format string, args ...any) error {
 	return fmt.Errorf("receiver native: "+format, args...)
 }
@@ -199,47 +198,97 @@ func readHeaderLine(br *bufio.Reader) (string, error) {
 	return id, nil
 }
 
-// pumpFrames is the connection's receive loop: it moves one trace's
-// frame payloads from the socket into the analysis pipe. first is the
-// already-read length of the trace's first frame. When the analysis
-// side stops reading (pw write error), the pump keeps consuming frames
-// without forwarding so the connection stays frame-synchronised. A nil
-// return means the zero-length end frame was reached; any error is
-// connection-fatal framing damage.
+// frameReader presents one trace's frame payloads as a single byte
+// stream read straight from the connection's buffered reader: Read
+// returns payload bytes of the current frame, reads the next frame
+// header when the current one is used up, and returns io.EOF at the
+// zero-length end frame. Framing damage is sticky: every later Read
+// returns it, and so does drain. A connection keeps one frameReader
+// for its lifetime, as it keeps its Decoder.
+type frameReader struct {
+	br  *bufio.Reader
+	rem int  // payload bytes left in the current frame
+	end bool // the zero-length end frame has been read
+	err error
+	hdr [4]byte
+}
+
+// readLen reads one big-endian frame length.
+func (f *frameReader) readLen() (uint32, error) {
+	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(f.hdr[:]), nil
+}
+
+// setFrame starts a frame of n payload bytes; zero is the end frame.
+func (f *frameReader) setFrame(n uint32) {
+	switch {
+	case n == 0:
+		f.end = true
+	case n > maxFrame:
+		f.err = errFrameTooBig(n)
+	default:
+		f.rem = int(n)
+	}
+}
+
+// begin arms f for a trace whose first frame announced n bytes.
+func (f *frameReader) begin(n uint32) {
+	f.rem, f.end, f.err = 0, false, nil
+	f.setFrame(n)
+}
+
+// nextFrame reads the next frame header of the trace.
+func (f *frameReader) nextFrame() {
+	n, err := f.readLen()
+	if err != nil {
+		f.err = errFrameRead(err)
+		return
+	}
+	f.setFrame(n)
+}
+
+// Read reads the trace's payload bytes, never past its end frame.
 //
 //noisevet:hotpath
-func pumpFrames(br *bufio.Reader, pw *io.PipeWriter, buf []byte, first uint32) error {
-	frame := first
-	discard := false
-	var hdr [4]byte
-	for {
-		if frame > maxFrame {
-			return errFrameTooBig(frame)
+func (f *frameReader) Read(p []byte) (int, error) {
+	for f.rem == 0 && !f.end && f.err == nil {
+		f.nextFrame()
+	}
+	if f.err != nil {
+		return 0, f.err
+	}
+	if f.end {
+		return 0, io.EOF
+	}
+	if len(p) > f.rem {
+		p = p[:f.rem]
+	}
+	n, err := f.br.Read(p)
+	f.rem -= n
+	if err != nil {
+		f.err = errFrameRead(err)
+	}
+	return n, f.err
+}
+
+// drain discards the rest of the trace through its end frame, so the
+// next trace starts on a frame boundary whatever the analysis left
+// unread. A non-nil result is framing damage: the connection must end.
+func (f *frameReader) drain() error {
+	for !f.end && f.err == nil {
+		if f.rem == 0 {
+			f.nextFrame()
+			continue
 		}
-		for rem := int(frame); rem > 0; {
-			chunk := len(buf)
-			if rem < chunk {
-				chunk = rem
-			}
-			if _, err := io.ReadFull(br, buf[:chunk]); err != nil {
-				return errFrameRead(err)
-			}
-			rem -= chunk
-			if discard {
-				continue
-			}
-			if _, err := pw.Write(buf[:chunk]); err != nil {
-				discard = true
-			}
-		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return errFrameRead(err)
-		}
-		frame = uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-		if frame == 0 {
-			return nil
+		n, err := f.br.Discard(f.rem)
+		f.rem -= n
+		if err != nil {
+			f.err = errFrameRead(err)
 		}
 	}
+	return f.err
 }
 
 // errFrameTooBig reports a frame length beyond the protocol bound.
@@ -284,38 +333,21 @@ func oneLine(s string) string {
 	return string(out)
 }
 
-// runTrace streams one trace into the tenant's analysis session: the
-// pump forwards frames into a pipe on this goroutine while the ingest
-// goroutine decodes and analyses the other end. Returns the analysis
-// answer and, separately, any connection-fatal pump error.
-func (n *Native) runTrace(ctx context.Context, id string, d **trace.Decoder, br *bufio.Reader, buf []byte, first uint32) (res router.Result, ingErr, connErr error) {
-	pr, pw := io.Pipe()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var err error
-		if *d == nil {
-			*d, err = trace.NewDecoder(pr)
-		} else {
-			err = (*d).Reset(pr)
-		}
-		if err == nil {
-			res, err = n.ing.Ingest(ctx, id, *d)
-		}
-		ingErr = err
-		// Unblock the pump if frames outlast the analysis.
-		pr.CloseWithError(errIngestDone)
-	}()
-	connErr = pumpFrames(br, pw, buf, first)
-	if connErr != nil {
-		pw.CloseWithError(connErr)
+// runTrace analyses one trace on the connection goroutine, its
+// Decoder reading the frames through f, then drains what the analysis
+// left unread. It returns the analysis answer and, separately, any
+// connection-fatal framing error, which wins over the answer.
+func (n *Native) runTrace(ctx context.Context, id string, d **trace.Decoder, f *frameReader, first uint32) (res router.Result, ingErr, connErr error) {
+	f.begin(first)
+	if *d == nil {
+		*d, ingErr = trace.NewDecoder(f)
 	} else {
-		// Clean end of frames: the decoder sees EOF.
-		_ = pw.Close()
+		ingErr = (*d).Reset(f)
 	}
-	wg.Wait()
-	return res, ingErr, connErr
+	if ingErr == nil {
+		res, ingErr = safeIngest(ctx, n.ing, id, *d)
+	}
+	return res, ingErr, f.drain()
 }
 
 // handle speaks NOISED/1 on one connection.
@@ -333,8 +365,7 @@ func (n *Native) handle(ctx context.Context, c net.Conn) {
 	}
 
 	var d *trace.Decoder
-	buf := make([]byte, copyChunk)
-	var hdr [4]byte
+	f := &frameReader{br: br}
 	for {
 		if n.drain.Load() || ctx.Err() != nil {
 			return
@@ -342,18 +373,18 @@ func (n *Native) handle(ctx context.Context, c net.Conn) {
 		_ = c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
 		// The first frame header doubles as the keepalive point: EOF
 		// here is the clean end of the connection.
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		first, err := f.readLen()
+		if err != nil {
 			if err != io.EOF {
 				fmt.Fprintf(c, "ERR proto %s\n", oneLine(err.Error()))
 			}
 			return
 		}
-		first := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 		if first == 0 {
 			fmt.Fprintf(c, "ERR proto empty trace\n")
 			continue
 		}
-		res, ingErr, connErr := n.runTrace(ctx, id, &d, br, buf, first)
+		res, ingErr, connErr := n.runTrace(ctx, id, &d, f, first)
 		if connErr != nil {
 			fmt.Fprintf(c, "ERR proto %s\n", oneLine(connErr.Error()))
 			return

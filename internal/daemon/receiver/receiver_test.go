@@ -6,12 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -139,6 +142,105 @@ func TestNativeErrorResync(t *testing.T) {
 	}
 	if !strings.HasPrefix(line, "OK ") {
 		t.Fatalf("post-error trace answer %q, want OK", line)
+	}
+}
+
+// TestNativeStopsReadingEarly: the analysis stops reading traces before
+// their end frames, and the receiver drains the rest so every answer on
+// the connection lines up with its trace. The tenant's lifetime budget
+// is half the first trace: that trace is analysed as a prefix, and the
+// next two are refused right after their headers, most of their 4 KiB
+// frames unread.
+func TestNativeStopsReadingEarly(t *testing.T) {
+	tr := daemontest.Trace(1)
+	budget := uint64(len(tr.Events) / 2)
+	rt := router.New(router.Config{MaxConcurrent: 4, TenantBudget: noise.Budget{MaxEvents: budget}})
+	defer func() { _ = rt.Close(context.Background()) }()
+	c, shutdown := dialNative(t, rt)
+	defer shutdown()
+
+	if _, err := c.Write(daemontest.Greeting("acme")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	payload := daemontest.Frames(daemontest.Encode(tr), 4096)
+	for i, want := range []string{
+		fmt.Sprintf("OK events=%d ", budget), "ERR evicted ", "ERR evicted ",
+	} {
+		if _, err := c.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("trace %d: %v", i, err)
+		}
+		if !strings.HasPrefix(line, want) || (i == 0 && !strings.Contains(line, " incomplete=1 ")) {
+			t.Fatalf("trace %d answer %q, want prefix %q (incomplete=1 on the first)", i, line, want)
+		}
+	}
+	// In frame sync: once the client half-closes, the server reads a
+	// clean end of connection, not a leftover frame, and closes.
+	if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := br.ReadString('\n'); err != io.EOF {
+		t.Fatalf("after the last trace: %q, %v; want EOF", line, err)
+	}
+}
+
+// panicky is an Ingestor that panics on tenant "boom"'s first trace and
+// hands every other trace to a router.
+type panicky struct {
+	*router.Router
+	fired atomic.Bool
+}
+
+func (p *panicky) Ingest(ctx context.Context, id string, d *trace.Decoder) (router.Result, error) {
+	if id == "boom" && p.fired.CompareAndSwap(false, true) {
+		panic("engine bug")
+	}
+	return p.Router.Ingest(ctx, id, d)
+}
+
+// captureLog sends the standard logger's output to a buffer until the
+// returned func restores it.
+func captureLog() (*bytes.Buffer, func()) {
+	var buf bytes.Buffer
+	w := log.Writer()
+	log.SetOutput(&buf)
+	return &buf, func() { log.SetOutput(w) }
+}
+
+// TestNativeIngestPanic: an analysis that panics costs its trace only.
+// It is answered ERR internal and logged with the tenant and the panic
+// value, and the next trace on the same connection is answered OK.
+func TestNativeIngestPanic(t *testing.T) {
+	logged, restore := captureLog()
+	defer restore()
+	ing := &panicky{Router: newRouter()}
+	defer func() { _ = ing.Close(context.Background()) }()
+	c, shutdown := dialNative(t, ing)
+	defer shutdown()
+
+	if _, err := c.Write(daemontest.Greeting("boom")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(c)
+	payload := daemontest.Frames(daemontest.Encode(daemontest.Trace(2)), 4096)
+	for i, want := range []string{"ERR internal ", "OK "} {
+		if _, err := c.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		line, err := br.ReadString('\n')
+		if err != nil {
+			t.Fatalf("trace %d: %v", i, err)
+		}
+		if !strings.HasPrefix(line, want) {
+			t.Fatalf("trace %d answer %q, want prefix %q", i, line, want)
+		}
+	}
+	if out := logged.String(); !strings.Contains(out, "boom") || !strings.Contains(out, "engine bug") {
+		t.Fatalf("panic log %q names neither the tenant nor the panic value", out)
 	}
 }
 
@@ -368,6 +470,21 @@ func TestHTTPIngest(t *testing.T) {
 		t.Fatalf("bad payload status %d, want 400", resp.StatusCode)
 	}
 
+	// A compressed trace is not accepted: the body must be the fixed
+	// format, which is all trace.NewDecoder reads.
+	var z bytes.Buffer
+	if err := trace.WriteCompressed(&z, tr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/v1/ingest?tenant=acme", "application/octet-stream", &z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("compressed trace status %d, want 400", resp.StatusCode)
+	}
+
 	// The status endpoint shows the tenant.
 	resp, err = http.Get(srv.URL + "/v1/tenants")
 	if err != nil {
@@ -380,6 +497,41 @@ func TestHTTPIngest(t *testing.T) {
 	_ = resp.Body.Close()
 	if len(sts) != 1 || sts[0]["ID"] != "acme" {
 		t.Fatalf("/v1/tenants = %+v", sts)
+	}
+}
+
+// TestHTTPIngestPanic: a panicking analysis answers its request 500
+// with a JSON error body, logged with the tenant and the panic value,
+// and the tenant's next request is analysed.
+func TestHTTPIngestPanic(t *testing.T) {
+	logged, restore := captureLog()
+	defer restore()
+	ing := &panicky{Router: newRouter()}
+	defer func() { _ = ing.Close(context.Background()) }()
+	srv := httptest.NewServer(receiver.NewMux(ing, nil, ing.Tenants))
+	defer srv.Close()
+
+	raw := daemontest.Encode(daemontest.Trace(1))
+	for i, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		resp, err := http.Post(srv.URL+"/v1/ingest?tenant=boom", "application/octet-stream", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		var res struct {
+			router.Result
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&res)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d: decoding the JSON body: %v", i, err)
+		}
+		if resp.StatusCode != want || (want != http.StatusOK && !strings.Contains(res.Error, "engine bug")) {
+			t.Fatalf("request %d: status %d, body %+v; want %d", i, resp.StatusCode, res, want)
+		}
+	}
+	if out := logged.String(); !strings.Contains(out, "boom") || !strings.Contains(out, "engine bug") {
+		t.Fatalf("panic log %q names neither the tenant nor the panic value", out)
 	}
 }
 

@@ -199,18 +199,46 @@ func TestRouterOverloadSampling(t *testing.T) {
 	var wg sync.WaitGroup
 	results := make([]router.Result, streams)
 	errs := make([]error, streams)
-	for i := 0; i < streams; i++ {
+	start := func(i int, r io.Reader) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			d, err := trace.NewDecoder(bytes.NewReader(raw))
+			d, err := trace.NewDecoder(r)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			results[i], errs[i] = rt.Ingest(context.Background(), fmt.Sprintf("t%d", i), d)
-		}(i)
+		}()
 	}
+	// waitInFlight polls until n streams hold or wait for a slot.
+	waitInFlight := func(n int) {
+		for deadline := time.Now().Add(10 * time.Second); rt.InFlight() != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("in flight = %d, want %d", rt.InFlight(), n)
+			}
+		}
+	}
+	// Stream 0 reads from a pipe that stalls after its header and first
+	// event, so it holds the only slot until all the others are queued
+	// behind it: the overload is certain, not a scheduling race that a
+	// fast analysis can win.
+	pr, pw := io.Pipe()
+	defer func() { _ = pw.Close() }()
+	start(0, pr)
+	head := 32 + trace.EventSize
+	if _, err := pw.Write(raw[:head]); err != nil {
+		t.Fatal(err)
+	}
+	waitInFlight(1)
+	for i := 1; i < streams; i++ {
+		start(i, bytes.NewReader(raw))
+	}
+	waitInFlight(streams)
+	if _, err := pw.Write(raw[head:]); err != nil {
+		t.Fatal(err)
+	}
+	_ = pw.Close()
 	wg.Wait()
 	sampled := 0
 	for i := 0; i < streams; i++ {

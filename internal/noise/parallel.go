@@ -133,10 +133,11 @@ func classOf(id trace.ID) uint8 {
 // tens of megabytes per run; see getSlice/putSlice.
 var (
 	cevPool   sync.Pool // *[]cev: per-chunk per-CPU sub-streams
-	exitPool  sync.Pool // *[]int32: per-chunk exit-CPU lists
+	batchPool sync.Pool // *[]cev: AnalyzeStream's per-CPU hand-off batches
+	exitPool  sync.Pool // *[]int32: exit-CPU lists (per chunk, or a stream's)
 	spanPool  sync.Pool // *[]spanRec: per-CPU walker span lists
-	arenaPool sync.Pool // *[]trace.Event: per-worker decode arenas
-	schedPool sync.Pool // *[]schedRec: per-chunk control-stream pieces
+	arenaPool sync.Pool // *[]trace.Event: decode arenas
+	schedPool sync.Pool // *[]schedRec: control-stream scheduler records
 )
 
 // getSlice returns an empty slice with at least the requested capacity,
@@ -157,8 +158,10 @@ func putSlice[T any](p *sync.Pool, s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	p.Put(&s)
+	// A fresh variable, so only a real Put moves a slice header to the
+	// heap (a stream's walkers outnumber its non-empty span lists).
+	b := s[:0]
+	p.Put(&b)
 }
 
 // spanRec is one reconstructed kernel-activity span before scheduler
@@ -438,15 +441,69 @@ func partition(ctx context.Context, events []trace.Event, opts Options, ncpu, wo
 	return perCPU, ctl, dropped, nil
 }
 
-// chunkOut is one scan chunk's routed output: per-CPU sub-stream
-// segments plus the chunk-local control-stream pieces awaiting
-// stitching.
+// chunkOut is routed output: per-CPU sub-stream segments plus the
+// control stream. It is one raw scan chunk's (its control stream
+// awaiting stitching), or a whole stream's (its segments the pending
+// hand-off batches).
 type chunkOut struct {
 	perCPU   [][]cev
 	exitCPU  []int32
 	sched    []schedRec
 	switches int
 	dropped  int
+}
+
+// route classifies decoded events into out: entries and exits onto
+// their CPU's sub-stream, exit CPUs and scheduler records onto the
+// control stream. Events outside the analysis window are skipped, and
+// those naming a CPU outside [0, len(out.perCPU)) counted as dropped.
+// spill, when non-nil, is called before appending to a full sub-stream,
+// its first record included: the stream path hands the batch to a
+// walker there and installs a fresh one. Otherwise append grows it.
+//
+//noisevet:hotpath
+func (out *chunkOut) route(evs []trace.Event, opts *Options, spill func(cpu int32)) {
+	checkWin := opts.FromNS != 0 || opts.ToNS != 0
+	ncpu := uint32(len(out.perCPU))
+	for i := range evs {
+		ev := &evs[i]
+		if checkWin && !opts.inWindow(ev.TS) {
+			continue
+		}
+		cpu := ev.CPU
+		if uint32(cpu) >= ncpu {
+			out.dropped++
+			continue
+		}
+		var kind ctlKind
+		switch cl := classOf(ev.ID); cl {
+		case clEntry, clExit:
+			if spill != nil && len(out.perCPU[cpu]) == cap(out.perCPU[cpu]) {
+				spill(cpu)
+			}
+			if cl == clEntry {
+				out.perCPU[cpu] = append(out.perCPU[cpu], entryCev(ev.TS, ev.ID, ev.Arg1))
+			} else {
+				out.perCPU[cpu] = append(out.perCPU[cpu], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
+				out.exitCPU = append(out.exitCPU, cpu)
+			}
+			continue
+		case clSwitch:
+			out.switches++
+			kind = ctlSwitch
+		case clMigrate:
+			kind = ctlMigrate
+		case clProcExit:
+			kind = ctlProcExit
+		default:
+			continue
+		}
+		out.sched = append(out.sched, schedRec{
+			kind: kind, cpu: cpu, ts: ev.TS,
+			a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
+			exitsBefore: int32(len(out.exitCPU)),
+		})
+	}
 }
 
 // rawHandoff is the bounded hand-off between the raw partition and the
@@ -477,14 +534,7 @@ func newRawHandoff(nchunk int) *rawHandoff {
 // per worker, capped so tiny traces are not shredded into sub-4096
 // record fragments.
 func rawChunkCount(count uint64, workers int) int {
-	nchunk := workers
-	if nchunk < 1 {
-		nchunk = 1
-	}
-	if nchunk > int(count/4096)+1 {
-		nchunk = int(count/4096) + 1
-	}
-	return nchunk
+	return min(max(workers, 1), int(count/4096)+1)
 }
 
 // rawBatch is how many events one DecodeBatch call materialises into a
@@ -494,8 +544,7 @@ const rawBatch = 512
 
 // scanChunk routes one chunk's raw records into out: DecodeBatch
 // decodes rawBatch events at a time into the worker's reused arena, and
-// the routing loop classifies each via the evClass table. The analysis
-// window check is hoisted out entirely when no window is configured.
+// route classifies each via the evClass table.
 //
 //noisevet:hotpath
 func scanChunk(ctx context.Context, rt *trace.RawTrace, opts *Options, ncpu int, lo, hi uint64, arena []trace.Event, out *chunkOut, prog *progress) error {
@@ -512,7 +561,6 @@ func scanChunk(ctx context.Context, rt *trace.RawTrace, opts *Options, ncpu int,
 	// Scheduler records run ~10% of realistic traces; size for that so
 	// the control stream almost never regrows mid-scan.
 	out.sched = getSlice[schedRec](&schedPool, nrec/8+64)
-	checkWin := opts.FromNS != 0 || opts.ToNS != 0
 	return rt.Scan(lo, hi, func(_ uint64, b []byte) error {
 		for len(b) > 0 {
 			if err := ctx.Err(); err != nil {
@@ -524,43 +572,7 @@ func scanChunk(ctx context.Context, rt *trace.RawTrace, opts *Options, ncpu int,
 			}
 			b = b[n*trace.EventSize:]
 			prog.events.Add(uint64(n))
-			for i := range arena[:n] {
-				ev := &arena[i]
-				if checkWin && !opts.inWindow(ev.TS) {
-					continue
-				}
-				cpu := ev.CPU
-				if uint32(cpu) >= uint32(ncpu) {
-					out.dropped++
-					continue
-				}
-				switch classOf(ev.ID) {
-				case clEntry:
-					out.perCPU[cpu] = append(out.perCPU[cpu], entryCev(ev.TS, ev.ID, ev.Arg1))
-				case clExit:
-					out.perCPU[cpu] = append(out.perCPU[cpu], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
-					out.exitCPU = append(out.exitCPU, cpu)
-				case clSwitch:
-					out.switches++
-					out.sched = append(out.sched, schedRec{
-						kind: ctlSwitch, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				case clMigrate:
-					out.sched = append(out.sched, schedRec{
-						kind: ctlMigrate, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				case clProcExit:
-					out.sched = append(out.sched, schedRec{
-						kind: ctlProcExit, cpu: cpu, ts: ev.TS,
-						a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-						exitsBefore: int32(len(out.exitCPU)),
-					})
-				}
-			}
+			out.route(arena[:n], opts, nil)
 		}
 		return nil
 	})
@@ -596,13 +608,7 @@ func partitionRaw(ctx context.Context, rt *trace.RawTrace, opts Options, workers
 	for i := 0; i <= nchunk; i++ {
 		bounds[i] = uint64(i) * count / uint64(nchunk)
 	}
-	nworker := workers
-	if nworker > nchunk {
-		nworker = nchunk
-	}
-	if nworker < 1 {
-		nworker = 1
-	}
+	nworker := max(min(workers, nchunk), 1)
 
 	errs := make([]error, nchunk)
 	var next atomic.Int64
@@ -697,12 +703,7 @@ func recycleRaw(hand *rawHandoff, walkers []cpuWalker) {
 //noisevet:hotpath
 func runWalkersSegs(ctx context.Context, hand *rawHandoff, ncpu int, attributeNesting bool, workers int, prog *progress) ([]cpuWalker, error) {
 	walkers := make([]cpuWalker, ncpu)
-	if workers > ncpu {
-		workers = ncpu
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, ncpu), 1)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -1259,12 +1260,23 @@ type streamBatch struct {
 	evs []cev
 }
 
+// streamBatchMax caps one CPU's hand-off batch on the stream path.
+const streamBatchMax = 4096
+
 // AnalyzeStream runs the sharded analysis over a streaming decoder
 // without materialising the whole event section: events are decoded in
 // batches, routed to per-CPU walker goroutines as they arrive (decode
 // overlaps with span reconstruction), and only the control stream and
 // the reconstructed spans are retained for the replay. The report is
 // bit-identical to Analyze/AnalyzeParallel on the same trace.
+//
+// Its buffers come from pools and go back when the run ends, so a
+// steady-state caller allocates little beyond the Report. A CPU's
+// hand-off batch is taken on its first record and holds count/CPUs
+// records (at most streamBatchMax, count capped by Decoder.Prealloc),
+// so all batches together stay within the cap; the control stream and
+// span lists are pre-sized only from a count checked against the
+// input's size.
 //
 // If opts.AppPIDs is nil the application set is taken from the trace's
 // process table, which the decoder reads after the last event.
@@ -1280,17 +1292,26 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 		shards = runtime.GOMAXPROCS(0)
 	}
 	ncpu := d.CPUs()
-	workers := shards
-	if workers > ncpu {
-		workers = ncpu
+	workers := max(min(shards, ncpu), 1)
+	eventCap := opts.Budget.eventCap()
+	hint := min(d.Prealloc(), eventCap)
+	batchLen := int(min(max(hint/uint64(ncpu), 1), streamBatchMax))
+	var sized uint64 // count-proportional pre-sizing: only a checked count
+	if d.Sized() {
+		sized = hint
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	spanHint := int(sized / uint64(2*ncpu)) // about half the records are exits
+
 	walkers := make([]cpuWalker, ncpu)
 	for c := range walkers {
 		walkers[c].attributeNesting = opts.AttributeNesting
 	}
+	out := chunkOut{
+		perCPU:  make([][]cev, ncpu),
+		exitCPU: getSlice[int32](&exitPool, int(sized/2)),
+		sched:   getSlice[schedRec](&schedPool, int(sized/8)),
+	}
+	arena := getSlice[trace.Event](&arenaPool, rawBatch)[:rawBatch]
 	chans := make([]chan streamBatch, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -1300,115 +1321,72 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 			defer wg.Done()
 			for b := range ch {
 				wk := &walkers[b.cpu]
+				if wk.spans == nil {
+					wk.spans = getSlice[spanRec](&spanPool, spanHint)
+				}
 				for _, ev := range b.evs {
 					wk.step(ev)
 				}
+				putSlice(&batchPool, b.evs)
 			}
 		}(chans[w])
 	}
-	// join drains and joins the walker pool; every return path runs it,
-	// which is what guarantees zero leaked goroutines on cancellation.
+	// join drains and joins the walker pool. The deferred call runs it
+	// on every return path, panics included: no goroutine leaks, and no
+	// walker still writes a buffer once it is back in its pool.
 	join := func() {
 		for _, ch := range chans {
 			close(ch)
 		}
+		chans = nil
 		wg.Wait()
 	}
-
-	const batchLen = 4096
-	var (
-		prog      progress
-		eventCap  = opts.Budget.eventCap()
-		truncated bool
-		ctl       ctlStream
-		pending   = make([][]cev, ncpu)
-		batch     = make([]trace.Event, batchLen)
-		firstTS   int64
-		lastTS    int64
-		any       bool
-		dropped   int
-		readErr   error
-	)
-	flush := func(cpu int32) {
-		if len(pending[cpu]) == 0 {
-			return
+	defer func() {
+		join()
+		recycleStream(&out, walkers, arena)
+	}()
+	// spill hands a CPU's full batch to its walker and takes a fresh one.
+	spill := func(cpu int32) {
+		if b := out.perCPU[cpu]; len(b) > 0 {
+			chans[int(cpu)%workers] <- streamBatch{cpu: cpu, evs: b}
 		}
-		chans[int(cpu)%workers] <- streamBatch{cpu: cpu, evs: pending[cpu]}
-		pending[cpu] = nil
+		out.perCPU[cpu] = getSlice[cev](&batchPool, batchLen)
 	}
+
+	var prog progress
+	var firstTS, lastTS int64
+	truncated, seen := false, false
 	for {
 		if ctx.Err() != nil {
-			join()
 			return (&Report{CPUs: ncpu}).markCancelled(&prog), cancelErr(ctx)
 		}
-		n, err := d.Next(batch)
-		evs := batch[:n]
+		n, err := d.Next(arena)
+		evs := arena[:n]
 		if left := eventCap - prog.events.Load(); uint64(len(evs)) > left {
 			evs, truncated = evs[:left], true
 		}
 		prog.events.Add(uint64(len(evs)))
-		for _, ev := range evs {
-			if !any {
-				firstTS, any = ev.TS, true
+		if len(evs) > 0 {
+			if !seen {
+				firstTS, seen = evs[0].TS, true
 			}
-			lastTS = ev.TS
-			if !opts.inWindow(ev.TS) {
-				continue
-			}
-			if ev.CPU < 0 || int(ev.CPU) >= ncpu {
-				dropped++
-				continue
-			}
-			switch classOf(ev.ID) {
-			case clEntry:
-				pending[ev.CPU] = append(pending[ev.CPU], entryCev(ev.TS, ev.ID, ev.Arg1))
-				if len(pending[ev.CPU]) >= batchLen {
-					flush(ev.CPU)
-				}
-			case clExit:
-				pending[ev.CPU] = append(pending[ev.CPU], cev{ts: ev.TS, id: uint16(ev.ID), key: cevExit})
-				ctl.exitCPU = append(ctl.exitCPU, ev.CPU)
-				if len(pending[ev.CPU]) >= batchLen {
-					flush(ev.CPU)
-				}
-			case clSwitch:
-				ctl.switches++
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlSwitch, cpu: ev.CPU, ts: ev.TS,
-					a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			case clMigrate:
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlMigrate, cpu: ev.CPU,
-					a1: ev.Arg1, a2: ev.Arg2, a3: ev.Arg3,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			case clProcExit:
-				ctl.sched = append(ctl.sched, schedRec{
-					kind: ctlProcExit, a1: ev.Arg1,
-					exitsBefore: int32(len(ctl.exitCPU)),
-				})
-			}
+			lastTS = evs[len(evs)-1].TS
+			out.route(evs, &opts, spill)
 		}
-		if truncated {
-			break
-		}
-		if err == io.EOF {
+		if truncated || err == io.EOF {
 			break
 		}
 		if err != nil {
-			readErr = err
-			break
+			return nil, err
 		}
 	}
-	for c := int32(0); c < int32(ncpu); c++ {
-		flush(c)
+	for c, b := range out.perCPU {
+		if len(b) > 0 {
+			chans[c%workers] <- streamBatch{cpu: int32(c), evs: b}
+		}
+		out.perCPU[c] = nil
 	}
 	join()
-	if readErr != nil {
-		return nil, readErr
-	}
 	r, apps, err := newReport(ncpu, firstTS, lastTS, &opts, func() ([]trace.ProcInfo, error) {
 		// A budget cap leaves undecoded events ahead of the process
 		// table; skip them unparsed so classification still works.
@@ -1421,7 +1399,8 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 		return nil, err
 	}
 	r.Incomplete = truncated
-	r.Dropped += dropped
+	r.Dropped += out.dropped
+	ctl := ctlStream{exitCPU: out.exitCPU, sched: out.sched, switches: out.switches}
 	r.prealloc(walkers, ctl.switches, opts.KeepDurations)
 	windows, noiseIdx := r.replay(ctx, ctl, walkers, opts, apps)
 	if ctx.Err() != nil {
@@ -1432,4 +1411,19 @@ func AnalyzeStream(ctx context.Context, d *trace.Decoder, opts Options, shards i
 	}
 	r.EventsConsumed = prog.events.Load()
 	return r, nil
+}
+
+// recycleStream returns AnalyzeStream's buffers to their pools once its
+// walkers are joined. The Report copies everything it keeps, so nothing
+// reachable from it aliases them.
+func recycleStream(out *chunkOut, walkers []cpuWalker, arena []trace.Event) {
+	for _, b := range out.perCPU {
+		putSlice(&batchPool, b)
+	}
+	putSlice(&exitPool, out.exitCPU)
+	putSlice(&schedPool, out.sched)
+	for i := range walkers {
+		putSlice(&spanPool, walkers[i].spans)
+	}
+	putSlice(&arenaPool, arena)
 }

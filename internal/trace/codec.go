@@ -181,12 +181,8 @@ func Read(r io.Reader) (*Trace, error) {
 // readDecoded drains a decoder into a materialised Trace.
 func readDecoded(d *Decoder) (*Trace, error) {
 	tr := &Trace{CPUs: d.CPUs(), Lost: d.Lost()}
-	alloc := d.EventCount()
-	if !d.Sized() && alloc > maxPrealloc {
-		// Unverifiable header claim: start capped, grow as bytes arrive.
-		alloc = maxPrealloc
-	}
-	tr.Events = make([]Event, 0, alloc)
+	// An unverifiable header claim starts capped and grows as bytes arrive.
+	tr.Events = make([]Event, 0, d.Prealloc())
 	batch := make([]Event, 4096)
 	for {
 		n, err := d.Next(batch)

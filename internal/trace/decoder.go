@@ -224,6 +224,17 @@ func (d *Decoder) EventCount() uint64 { return d.count }
 // should grow as they decode rather than preallocate it.
 func (d *Decoder) Sized() bool { return d.sized }
 
+// Prealloc returns how many events a reader may size buffers for
+// before decoding them: the header's count when Sized, otherwise the
+// count capped at maxPrealloc, since an unsized stream's count is only
+// a claim that a crafted header can inflate at will.
+func (d *Decoder) Prealloc() uint64 {
+	if !d.sized && d.count > maxPrealloc {
+		return maxPrealloc
+	}
+	return d.count
+}
+
 // Remaining returns the number of events not yet decoded.
 func (d *Decoder) Remaining() uint64 { return d.count - d.read }
 

@@ -91,6 +91,15 @@ step "tracer hand-off (ring, collector, merge; race-instrumented, 10 runs)"
 # race. One run can miss an interleaving, so they run ten times.
 go test -race -count=10 -run 'TestRing|TestCollect|TestMerge' ./internal/trace
 
+step "stream hand-off (race-instrumented, 5 runs)"
+# AnalyzeStream's pooled batches cross from the decoding goroutine to
+# the walkers and back through a sync.Pool, and NOISED/1 frames are
+# read straight into the connection's Decoder; a batch reused while a
+# walker still reads it, or a trace that leaves the connection out of
+# frame sync, fails these tests, the first also as a data race.
+go test -race -count=5 -run 'TestStream|TestNative|TestHTTPIngest|TestDecoderStream|TestSession' \
+    ./internal/noise ./internal/daemon/...
+
 step "corruption suite (trace fault injector, race-instrumented)"
 # The deterministic fault injector sweeps every mutation over every
 # encoding and feeds the result to every reader entry point; any panic
